@@ -7,7 +7,7 @@ small degree, and decides closedness structurally (Sylow splitting, the
 zel subgroup, orbit removal) with a verifiable reduction trace.
 """
 
-from .coloring import PairColoring, orb2, preserves, same_coloring
+from .coloring import PairColoring, orb2, preserves
 from .decider import (
     OracleReport,
     PreconditionFailed,
@@ -38,7 +38,6 @@ from .perm import (
     OrbitPartition,
     PermGroup,
     Permutation,
-    compose,
 )
 from .reduction import (
     NotAnOrbit,
@@ -50,7 +49,6 @@ from .reduction import (
     remove_orbit,
     sylow_decomposition,
     zel,
-    zel_condition,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +75,6 @@ __all__ = [
     "Step",
     "SylowDecomposition",
     "color_automorphisms",
-    "compose",
     "decide_2_closed",
     "decide_with_oracle_check",
     "fixture_example1",
@@ -91,10 +88,8 @@ __all__ = [
     "random_abelian_cyclic",
     "random_regular_abelian",
     "remove_orbit",
-    "same_coloring",
     "serialize_group",
     "sylow_decomposition",
     "two_closure",
     "zel",
-    "zel_condition",
 ]

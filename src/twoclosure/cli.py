@@ -42,16 +42,6 @@ from .oracle import BudgetExceeded, two_closure
 from .perm import CapExceeded, PermGroup
 from .reduction import NotNilpotent, zel
 
-__all__ = [
-    "main",
-    "parse_group",
-    "serialize_group",
-    "fixture_example1",
-    "fixture_example2",
-    "random_abelian_cyclic",
-    "random_regular_abelian",
-]
-
 _DETAIL_LABEL = {
     SYLOW_SPLIT: "primes",
     ZEL_REDUCE: "zel-orbit-sizes",

@@ -33,31 +33,9 @@ class PairColoring:
     def color(self, i: int, j: int) -> int:
         return self.matrix[i][j]
 
-    def cells(self, color: int) -> tuple[tuple[int, int], ...]:
-        """All pairs carrying the given color, row-major order."""
-        return tuple(
-            (i, j)
-            for i, row in enumerate(self.matrix)
-            for j, c in enumerate(row)
-            if c == color
-        )
-
     def render(self) -> str:
         """One line per row, space-separated color ids."""
         return "\n".join(" ".join(map(str, row)) for row in self.matrix)
-
-    @staticmethod
-    def parse(text: str) -> PairColoring:
-        rows = [
-            tuple(int(tok) for tok in line.split())
-            for line in text.splitlines()
-            if line.strip()
-        ]
-        matrix = tuple(rows)
-        n = len(matrix)
-        if any(len(row) != n for row in matrix):
-            raise ValueError("coloring matrix must be square")
-        return PairColoring(matrix)
 
 
 def orb2(group: PermGroup) -> PairColoring:
@@ -103,8 +81,3 @@ def preserves(coloring: PairColoring, perm: Permutation) -> bool:
         for i in range(perm.degree)
         for j in range(perm.degree)
     )
-
-
-def same_coloring(a: PairColoring, b: PairColoring) -> bool:
-    """Partition equality; canonical ids make this plain matrix equality."""
-    return a.matrix == b.matrix

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .oracle import SearchLimits, is_2_closed_oracle
-from .perm import DEFAULT_CAP, PermGroup
+from .perm import DEFAULT_CAP, PermGroup, prime_factors
 from .reduction import remove_orbit, sylow_decomposition, zel
 
 VALIDATE = "Validate"
@@ -69,49 +69,39 @@ def decide_2_closed(group: PermGroup, cap: int = DEFAULT_CAP) -> tuple[bool, Red
     """Decide whether the group equals its own pair-orbit closure.
 
     Raises PreconditionFailed unless every transitive constituent is
-    cyclic.  Returns the verdict together with the step-by-step trace.
+    cyclic.  The input is validated once: a Sylow part, the action on
+    the orbits of zel(G) and an orbit removal all keep constituents
+    cyclic, so no group further down the chain needs the check again.
+    Returns the verdict together with the step-by-step trace.
     """
     if not group.cyclic_constituents(cap):
         raise PreconditionFailed(
             "decision procedure requires every transitive constituent to be cyclic"
         )
-    steps: list[Step] = [Step(VALIDATE, group.degree, group.order(cap))]
-    verdict = _decide(group, steps, cap)
-    return verdict, ReductionTrace(tuple(steps), verdict)
-
-
-def _decide(group: PermGroup, steps: list[Step], cap: int) -> bool:
-    """Top level: transitive base, else split composite orders by prime."""
     order = group.order(cap)
-    if group.is_transitive():
-        steps.append(Step(TRANSITIVE_BASE, group.degree, order))
-        return True
-    if group.is_p_group(cap) is not None:
-        return _decide_p(group, steps, cap)
-    decomposition = sylow_decomposition(group, cap)
-    steps.append(Step(SYLOW_SPLIT, group.degree, order, decomposition.primes()))
+    steps: list[Step] = [Step(VALIDATE, group.degree, order)]
+    parts: tuple[PermGroup, ...] = (group,)
+    if not group.is_transitive() and len(prime_factors(order)) != 1:
+        decomposition = sylow_decomposition(group, cap)
+        steps.append(Step(SYLOW_SPLIT, group.degree, order, decomposition.primes()))
+        parts = tuple(part for _, part in decomposition.parts)
     # closed iff every part is; the first failing part settles it
-    return all(_decide_p(part, steps, cap) for _, part in decomposition.parts)
-
-
-def _decide_p(group: PermGroup, steps: list[Step], cap: int) -> bool:
-    """The reduction chain, for a group all of whose constituents are
-    cyclic p-groups for one prime (or trivial)."""
-    assert group.cyclic_constituents(cap)
-    order = group.order(cap)
-    if group.is_transitive():
-        steps.append(Step(TRANSITIVE_BASE, group.degree, order))
-        return True
-    z = zel(group, cap)
-    if not z.is_trivial():
-        if not z.is_subgroup_of(group, cap):
-            steps.append(Step(ZEL_NOT_INSIDE, group.degree, order))
-            return False
-        steps.append(Step(ZEL_REDUCE, group.degree, order, z.orbits().sizes()))
-        return _decide_p(group.induced_on_orbits(z), steps, cap)
-    removed = group.orbits().classes[0]
-    steps.append(Step(ORBIT_REMOVAL, group.degree, order, removed))
-    return _decide_p(remove_orbit(group, removed), steps, cap)
+    for g in parts:
+        while not g.is_transitive():
+            order = g.order(cap)
+            z = zel(g, cap)
+            if z.is_trivial():
+                removed = g.orbits().classes[0]
+                steps.append(Step(ORBIT_REMOVAL, g.degree, order, removed))
+                g = remove_orbit(g, removed)
+            elif z.is_subgroup_of(g, cap):
+                steps.append(Step(ZEL_REDUCE, g.degree, order, z.orbits().sizes()))
+                g = g.induced_on_orbits(z)
+            else:
+                steps.append(Step(ZEL_NOT_INSIDE, g.degree, order))
+                return False, ReductionTrace(tuple(steps), False)
+        steps.append(Step(TRANSITIVE_BASE, g.degree, g.order(cap)))
+    return True, ReductionTrace(tuple(steps), True)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ element cap keeps runaway inputs from eating the machine.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -56,7 +55,7 @@ class Permutation:
 
     Composition is "left first": ``(p * q)(i) == q(p(i))``, matching the
     exponent convention on points, ``i^(pq) = (i^p)^q``.  This is the one
-    global convention; see also :func:`compose`.
+    global convention.
     """
 
     images: tuple[int, ...]
@@ -154,11 +153,6 @@ class Permutation:
         return f"Permutation({self.images!r})"
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply p first, then q: ``compose(p, q).images[i] == q.images[p.images[i]]``."""
-    return p * q
-
-
 @dataclass(frozen=True)
 class OrbitPartition:
     """The orbits of a group as a partition of {0..n-1}.
@@ -176,24 +170,17 @@ class OrbitPartition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
 
-    def index_of(self, point: int) -> int:
-        return self.point_to_class[point]
-
-    def class_of(self, point: int) -> tuple[int, ...]:
-        return self.classes[self.point_to_class[point]]
-
 
 class PermGroup:
     """A permutation group of fixed degree, given by generators.
 
     Immutable after construction.  The full element set is computed lazily
     as the breadth-first closure of the generators under composition and is
-    memoized (the memo is lock-protected, so groups are safe to share
-    between threads).  Duplicate and identity generators are dropped; an
+    memoized.  Duplicate and identity generators are dropped; an
     empty generator list is the trivial group, and degree 0 is legal.
     """
 
-    __slots__ = ("degree", "generators", "_lock", "_elements", "_orbit_cache")
+    __slots__ = ("degree", "generators", "_elements", "_orbit_cache")
 
     def __init__(self, degree: int, generators: Iterable = ()):
         if degree < 0:
@@ -213,7 +200,6 @@ class PermGroup:
             gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
-        self._lock = threading.Lock()
         self._elements: Optional[frozenset[Permutation]] = None
         self._orbit_cache: Optional[OrbitPartition] = None
 
@@ -256,12 +242,11 @@ class PermGroup:
         elements are found; the enumeration is complete iff the group
         order is at most ``cap``.
         """
-        with self._lock:
-            if self._elements is None:
-                self._elements = self._close(cap)
-            if len(self._elements) > cap:
-                raise CapExceeded(cap, cap)
-            return self._elements
+        if self._elements is None:
+            self._elements = self._close(cap)
+        if len(self._elements) > cap:
+            raise CapExceeded(cap, len(self._elements))
+        return self._elements
 
     def _close(self, cap: int) -> frozenset[Permutation]:
         els = {self.identity()}
@@ -285,7 +270,7 @@ class PermGroup:
     def order(self, cap: int = DEFAULT_CAP) -> int:
         return len(self.elements(cap))
 
-    def is_trivial(self, cap: int = DEFAULT_CAP) -> bool:
+    def is_trivial(self) -> bool:
         return not self.generators
 
     def __contains__(self, p: Permutation) -> bool:
@@ -293,30 +278,29 @@ class PermGroup:
 
     def orbits(self) -> OrbitPartition:
         """The orbit partition of the point set, classes ordered by minimal point."""
-        with self._lock:
-            if self._orbit_cache is not None:
-                return self._orbit_cache
-            n = self.degree
-            assigned = [-1] * n
-            classes = []
-            for start in range(n):
-                if assigned[start] != -1:
-                    continue
-                idx = len(classes)
-                assigned[start] = idx
-                orbit = [start]
-                stack = [start]
-                while stack:
-                    x = stack.pop()
-                    for g in self.generators:
-                        y = g.images[x]
-                        if assigned[y] == -1:
-                            assigned[y] = idx
-                            orbit.append(y)
-                            stack.append(y)
-                classes.append(tuple(sorted(orbit)))
-            self._orbit_cache = OrbitPartition(tuple(classes), tuple(assigned))
+        if self._orbit_cache is not None:
             return self._orbit_cache
+        n = self.degree
+        assigned = [-1] * n
+        classes = []
+        for start in range(n):
+            if assigned[start] != -1:
+                continue
+            idx = len(classes)
+            assigned[start] = idx
+            orbit = [start]
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for g in self.generators:
+                    y = g.images[x]
+                    if assigned[y] == -1:
+                        assigned[y] = idx
+                        orbit.append(y)
+                        stack.append(y)
+            classes.append(tuple(sorted(orbit)))
+        self._orbit_cache = OrbitPartition(tuple(classes), tuple(assigned))
+        return self._orbit_cache
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
@@ -326,14 +310,6 @@ class PermGroup:
         pts = self._check_points(points)
         stab = [
             g for g in self.elements(cap) if all(g.images[p] == p for p in pts)
-        ]
-        return PermGroup.from_elements(self.degree, stab)
-
-    def setwise_stabilizer(self, points: Iterable[int], cap: int = DEFAULT_CAP) -> PermGroup:
-        """Subgroup mapping the listed point set onto itself."""
-        pts = frozenset(self._check_points(points))
-        stab = [
-            g for g in self.elements(cap) if frozenset(g.images[p] for p in pts) == pts
         ]
         return PermGroup.from_elements(self.degree, stab)
 
@@ -353,10 +329,10 @@ class PermGroup:
         return PermGroup(len(pts), gens)
 
     def is_subgroup_of(self, other: PermGroup, cap: int = DEFAULT_CAP) -> bool:
-        """True iff every element of this group lies in ``other`` (degrees must match)."""
+        """True iff every generator of this group lies in ``other`` (degrees must match)."""
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return self.elements(cap) <= other.elements(cap)
+        return set(self.generators) <= other.elements(cap)
 
     def induced_on_orbits(self, inner: PermGroup) -> PermGroup:
         """The action of this group on the orbits of ``inner``.
@@ -389,13 +365,6 @@ class PermGroup:
             for i in range(len(gens))
             for j in range(i + 1, len(gens))
         )
-
-    def is_p_group(self, cap: int = DEFAULT_CAP) -> Optional[int]:
-        """The prime p if the group order is a nontrivial p-power, else None."""
-        primes = prime_factors(self.order(cap))
-        if len(primes) == 1:
-            return primes[0]
-        return None
 
     def cyclic_constituents(self, cap: int = DEFAULT_CAP) -> bool:
         """True iff the action induced on every orbit is a cyclic group."""

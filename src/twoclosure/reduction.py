@@ -40,35 +40,26 @@ class SylowDecomposition:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.parts)
 
-    def part(self, p: int) -> PermGroup:
-        for q, group in self.parts:
-            if q == p:
-                return group
-        raise KeyError(f"no Sylow part for prime {p}")
-
 
 def sylow_decomposition(group: PermGroup, cap: int = DEFAULT_CAP) -> SylowDecomposition:
     """Split an abelian group into its Sylow p-subgroups.
 
     For each prime p dividing the order, the part is generated by the
-    p-parts g^(m/p^k) of all elements g (of order m with p-multiplicity k).
-    A trivial group decomposes into zero parts.
+    p-parts g^m of the generators g, where m is the order of g with every
+    factor p removed.  Taking p-parts is a homomorphism of an abelian
+    group onto its Sylow p-subgroup, so the generators' p-parts generate
+    it.  A trivial group decomposes into zero parts.
     """
     if not group.is_abelian():
         raise NotNilpotent("input is not abelian; cannot split into commuting p-parts")
-    elements = group.elements(cap)
-    order = len(elements)
     parts = []
-    for p in prime_factors(order):
+    for p in prime_factors(group.order(cap)):
         gens = []
-        for g in elements:
+        for g in group.generators:
             m = g.order()
-            pk = 1
             while m % p == 0:
                 m //= p
-                pk *= p
-            if pk > 1:
-                gens.append(g ** m)
+            gens.append(g ** m)
         parts.append((p, PermGroup(group.degree, gens)))
     return SylowDecomposition(group.degree, tuple(parts))
 
@@ -112,11 +103,6 @@ def zel(group: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
             _lift(f, cls, group.degree) for f in factor if not f.is_identity()
         )
     return PermGroup(group.degree, gens)
-
-
-def zel_condition(group: PermGroup, cap: int = DEFAULT_CAP) -> bool:
-    """True iff zel(group) is a subgroup of the group itself."""
-    return zel(group, cap).is_subgroup_of(group, cap)
 
 
 def is_quasiregular(group: PermGroup, cap: int = DEFAULT_CAP) -> bool:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +126,31 @@ def test_precondition_rejects_non_cyclic_constituents():
 def test_cap_is_honored():
     with pytest.raises(CapExceeded):
         decide_2_closed(fixture_example1(3), cap=5)
+
+
+def _stack_depth():
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_long_chain_does_not_grow_the_stack():
+    # one involution swapping 60 pairs: 59 orbit removals, then the base case
+    blocks = 60
+    swap = cyc(2 * blocks, *((2 * i, 2 * i + 1) for i in range(blocks)))
+    g = PermGroup(2 * blocks, [swap])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        ok, trace = decide_2_closed(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ok
+    assert kinds(trace) == (VALIDATE,) + (ORBIT_REMOVAL,) * (blocks - 1) + (TRANSITIVE_BASE,)
+    check_trace(trace)
 
 
 def test_step_rejects_unknown_kinds():

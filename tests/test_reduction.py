@@ -19,7 +19,6 @@ from twoclosure.reduction import (
     remove_orbit,
     sylow_decomposition,
     zel,
-    zel_condition,
 )
 
 
@@ -31,24 +30,25 @@ def test_sylow_of_regular_c6():
     g = PermGroup(6, [cyc(6, tuple(range(6)))])
     dec = sylow_decomposition(g)
     assert dec.primes() == (2, 3)
-    assert dec.part(2).order() == 2
-    assert dec.part(3).order() == 3
-    assert dec.part(2).generators == (cyc(6, (0, 3), (1, 4), (2, 5)),)
+    parts = dict(dec.parts)
+    assert parts[2].order() == 2
+    assert parts[3].order() == 3
+    assert parts[2].generators == (cyc(6, (0, 3), (1, 4), (2, 5)),)
 
 
 def test_sylow_of_p_group_is_itself():
     g = fixture_example1(2)
     dec = sylow_decomposition(g)
     assert dec.primes() == (2,)
-    assert dec.part(2).elements() == g.elements()
+    assert dict(dec.parts)[2].elements() == g.elements()
 
 
 def test_sylow_parts_fix_foreign_orbits_pointwise():
     g = PermGroup(5, [cyc(5, (0, 1)), cyc(5, (2, 3, 4))])
-    dec = sylow_decomposition(g)
-    assert dec.part(2).restriction([2, 3, 4]).is_trivial()
-    assert dec.part(3).restriction([0, 1]).is_trivial()
-    assert dec.part(2).elements() == PermGroup(5, [cyc(5, (0, 1))]).elements()
+    parts = dict(sylow_decomposition(g).parts)
+    assert parts[2].restriction([2, 3, 4]).is_trivial()
+    assert parts[3].restriction([0, 1]).is_trivial()
+    assert parts[2].elements() == PermGroup(5, [cyc(5, (0, 1))]).elements()
 
 
 def test_sylow_of_trivial_group_has_no_parts():
@@ -67,7 +67,7 @@ def test_sylow_parts_multiply_generate_and_commute(g):
     dec = sylow_decomposition(g)
     product = 1
     for p, part in dec.parts:
-        assert part.is_p_group() == p
+        assert prime_factors(part.order()) == (p,)
         product *= part.order()
     assert product == g.order()
     regenerated = PermGroup(
@@ -89,6 +89,20 @@ def test_sylow_orbit_sizes_in_regular_abelian_groups(seed):
         while n % (n_p * p) == 0:
             n_p *= p
         assert set(part.orbits().sizes()) == {n_p}
+
+
+@settings(deadline=None, max_examples=40)
+@given(abelian_instances(max_degree=10))
+def test_reductions_keep_constituents_cyclic(g):
+    for _, part in sylow_decomposition(g).parts:
+        assert part.cyclic_constituents()
+    classes = g.orbits().classes
+    if len(classes) >= 2:
+        z = zel(g)
+        if not z.is_trivial() and z.is_subgroup_of(g):
+            assert g.induced_on_orbits(z).cyclic_constituents()
+    if classes:
+        assert remove_orbit(g, classes[0]).cyclic_constituents()
 
 
 def test_zel_of_example1_is_p_cubed_acting_per_orbit():
@@ -114,7 +128,7 @@ def test_zel_of_glued_two_orbit_group_is_trivial():
 def test_zel_of_independent_shifts_is_whole_group():
     g = PermGroup(4, [cyc(4, (0, 1)), cyc(4, (2, 3))])
     assert zel(g).elements() == g.elements()
-    assert zel_condition(g)
+    assert zel(g).is_subgroup_of(g)
 
 
 def test_zel_rejects_transitive_input():
@@ -123,9 +137,12 @@ def test_zel_rejects_transitive_input():
 
 
 def test_zel_condition_on_fixtures():
-    assert not zel_condition(fixture_example1(2))
-    assert not zel_condition(fixture_example1(3))
-    assert zel_condition(fixture_example2(2))
+    for g, inside in (
+        (fixture_example1(2), False),
+        (fixture_example1(3), False),
+        (fixture_example2(2), True),
+    ):
+        assert zel(g).is_subgroup_of(g) is inside
 
 
 def test_zel_factors_match_direct_intersection():

@@ -1,0 +1,32 @@
+"""The scripts under scripts/ still run against the current library."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["examples_walkthrough.py"],
+        ["agreement_sweep.py", "--count", "20"],
+    ],
+)
+def test_script_exits_zero(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
