@@ -36,6 +36,13 @@ class SearchLimits:
     max_nodes: int = MAX_ORACLE_NODES
 
 
+def _check_degree(n: int, limits: SearchLimits) -> None:
+    if n > limits.max_degree:
+        raise BudgetExceeded(
+            f"degree {n} exceeds search bound {limits.max_degree}"
+        )
+
+
 def color_automorphisms(coloring: PairColoring, limits: SearchLimits = SearchLimits()) -> frozenset[Permutation]:
     """All permutations preserving the coloring, by depth-first search.
 
@@ -47,10 +54,7 @@ def color_automorphisms(coloring: PairColoring, limits: SearchLimits = SearchLim
     budget.
     """
     n = coloring.degree
-    if n > limits.max_degree:
-        raise BudgetExceeded(
-            f"degree {n} exceeds search bound {limits.max_degree}"
-        )
+    _check_degree(n, limits)
     m = coloring.matrix
 
     profiles = [
@@ -99,7 +103,11 @@ def color_automorphisms(coloring: PairColoring, limits: SearchLimits = SearchLim
 
 
 def two_closure(group: PermGroup, limits: SearchLimits = SearchLimits()) -> PermGroup:
-    """The largest group with the same pair orbits as ``group``."""
+    """The largest group with the same pair orbits as ``group``.
+
+    The degree bound is checked before the n x n pair coloring is built.
+    """
+    _check_degree(group.degree, limits)
     els = color_automorphisms(orb2(group), limits)
     return PermGroup.from_elements(group.degree, els)
 

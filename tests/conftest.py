@@ -1,7 +1,22 @@
+import random
+
 import pytest
 from hypothesis import strategies as st
 
 from twoclosure import PermGroup, Permutation, random_abelian_cyclic
+from twoclosure.decider import (
+    ORBIT_REMOVAL,
+    SYLOW_SPLIT,
+    TRANSITIVE_BASE,
+    VALIDATE,
+    ZEL_NOT_INSIDE,
+    ZEL_REDUCE,
+    PreconditionFailed,
+    ReductionTrace,
+    Step,
+)
+from twoclosure.perm import prime_factors
+from twoclosure.reduction import remove_orbit, sylow_decomposition, zel
 
 
 def permutations(degree):
@@ -24,7 +39,92 @@ def abelian_instances(max_degree=10):
     return st.integers(0, 10_000).map(lambda s: random_abelian_cyclic(s, max_degree))
 
 
+def random_coupled_blocks(seed, max_degree=14):
+    """A seeded instance built to be not 2-closed about a third of the time.
+
+    Blocks of size p, p^2, p*q or q (p in {2, 3}, q a second prime in
+    about a third of the instances), at most max_degree // 3 points
+    each, are each shifted by a random nonzero vector of residues, one
+    per generator.  Random vectors make the orbit
+    kernels pairwise distinct, as in fixture_example1; residues that are
+    not units split a block into several orbits; a block that reuses an
+    earlier block's vector is a diagonal gluing.  The points are then
+    relabelled at random.
+    """
+    rng = random.Random(seed)
+    p = rng.choice((2, 3))
+    q = rng.choice([x for x in (2, 3, 5) if x != p]) if rng.random() < 0.3 else 1
+    sizes = [s for s in (p, p * p, p * q, q) if 1 < s <= max(p, max_degree // 3)]
+    rank = rng.choice((2, 2, 3))
+    blocks, total = [], 0
+    while True:
+        pool = [s for s in sizes if total + s <= max_degree]
+        if not pool or (len(blocks) >= 3 and rng.random() < 0.4):
+            break
+        size = rng.choice(pool)
+        same = [vec for s, vec in blocks if s == size]
+        if same and rng.random() < 0.25:
+            vec = rng.choice(same)
+        else:
+            vec = [0] * rank
+            while not any(vec):
+                vec = [rng.randrange(size) for _ in range(rank)]
+        blocks.append((size, vec))
+        total += size
+    sigma = list(range(total))
+    rng.shuffle(sigma)
+    gens = []
+    for i in range(rank):
+        images = [0] * total
+        start = 0
+        for size, vec in blocks:
+            for x in range(size):
+                images[sigma[start + x]] = sigma[start + (x + vec[i]) % size]
+            start += size
+        gens.append(Permutation(tuple(images)))
+    return PermGroup(total, gens)
+
+
+def reference_decide(group):
+    """The decision procedure by group enumeration, as the library ran it
+    before its coordinate form: the reference the decider's traces must
+    match step for step.  Finishes only where every group on the way
+    enumerates under the element cap.
+    """
+    if not group.cyclic_constituents():
+        raise PreconditionFailed("a transitive constituent is not cyclic")
+    order = group.order()
+    steps = [Step(VALIDATE, group.degree, order)]
+    parts = (group,)
+    if not group.is_transitive() and len(prime_factors(order)) != 1:
+        decomposition = sylow_decomposition(group)
+        steps.append(Step(SYLOW_SPLIT, group.degree, order, decomposition.primes()))
+        parts = tuple(part for _, part in decomposition.parts)
+    for g in parts:
+        while not g.is_transitive():
+            order = g.order()
+            z = zel(g)
+            if z.is_trivial():
+                removed = g.orbits().classes[0]
+                steps.append(Step(ORBIT_REMOVAL, g.degree, order, removed))
+                g = remove_orbit(g, removed)
+            elif z.is_subgroup_of(g):
+                steps.append(Step(ZEL_REDUCE, g.degree, order, z.orbits().sizes()))
+                g = g.induced_on_orbits(z)
+            else:
+                steps.append(Step(ZEL_NOT_INSIDE, g.degree, order))
+                return False, ReductionTrace(tuple(steps), False)
+        steps.append(Step(TRANSITIVE_BASE, g.degree, g.order()))
+    return True, ReductionTrace(tuple(steps), True)
+
+
 @pytest.fixture(scope="session")
 def sweep_pool():
     """The shared pool of random instances the validation sweeps run over."""
     return [random_abelian_cyclic(seed, 10) for seed in range(200)]
+
+
+@pytest.fixture(scope="session")
+def coupled_pool():
+    """Instances with both verdicts and every step kind well represented."""
+    return [random_coupled_blocks(seed) for seed in range(300)]

@@ -1,10 +1,17 @@
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian_instances
+from conftest import (
+    abelian_instances,
+    perm_groups,
+    random_coupled_blocks,
+    reference_decide,
+)
+from twoclosure import decider
 from twoclosure.decider import (
     ORBIT_REMOVAL,
     SYLOW_SPLIT,
@@ -18,9 +25,14 @@ from twoclosure.decider import (
     decide_2_closed,
     decide_with_oracle_check,
 )
-from twoclosure.fixtures import fixture_example1, fixture_example2
+from twoclosure.fixtures import (
+    fixture_example1,
+    fixture_example2,
+    random_abelian_cyclic,
+    random_regular_abelian,
+)
 from twoclosure.oracle import is_2_closed_oracle
-from twoclosure.perm import CapExceeded, PermGroup, Permutation
+from twoclosure.perm import DEFAULT_CAP, PermGroup, Permutation, prime_factors
 
 
 def cyc(degree, *cycles):
@@ -123,11 +135,6 @@ def test_precondition_rejects_non_cyclic_constituents():
         decide_2_closed(klein)
 
 
-def test_cap_is_honored():
-    with pytest.raises(CapExceeded):
-        decide_2_closed(fixture_example1(3), cap=5)
-
-
 def _stack_depth():
     depth = 0
     frame = sys._getframe()
@@ -190,3 +197,186 @@ def test_decision_agrees_with_oracle(g):
     report = decide_with_oracle_check(g)
     assert not report.mismatch
     check_trace(report.trace)
+
+
+def _outcome(decide, group):
+    """Everything a caller can observe of one run: verdict and trace, or the refusal."""
+    try:
+        closed, trace = decide(group)
+    except PreconditionFailed:
+        return "PreconditionFailed"
+    assert trace.verdict is closed
+    return closed, tuple((s.kind, s.degree, s.order, s.detail) for s in trace.steps)
+
+
+def assert_matches_reference(group):
+    assert _outcome(decide_2_closed, group) == _outcome(reference_decide, group), group
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_trace_matches_reference_on_fixtures(p):
+    assert_matches_reference(fixture_example1(p))
+    assert_matches_reference(fixture_example2(p))
+
+
+def test_trace_matches_reference_on_random_pools():
+    for seed in range(300):
+        assert_matches_reference(random_abelian_cyclic(seed, 12))
+    for seed in range(100):
+        assert_matches_reference(random_regular_abelian(seed, 12))
+
+
+def test_trace_matches_reference_on_coupled_blocks(coupled_pool):
+    wider = [random_coupled_blocks(seed, 24) for seed in range(100)]
+    seen = set()
+    not_closed = 0
+    for g in coupled_pool + wider:
+        assert_matches_reference(g)
+        closed, trace = decide_2_closed(g)
+        check_trace(trace)
+        seen.update(kinds(trace))
+        not_closed += not closed
+    assert seen == {VALIDATE, TRANSITIVE_BASE, SYLOW_SPLIT, ZEL_NOT_INSIDE, ZEL_REDUCE, ORBIT_REMOVAL}
+    assert not_closed >= len(coupled_pool + wider) / 4
+
+
+def test_decision_agrees_with_oracle_on_coupled_blocks(coupled_pool):
+    verdicts = [decide_with_oracle_check(g) for g in coupled_pool]
+    assert not [i for i, report in enumerate(verdicts) if report.mismatch]
+    assert sum(not report.decided for report in verdicts) >= len(coupled_pool) / 4
+
+
+@settings(deadline=None, max_examples=100)
+@given(perm_groups(max_degree=6, max_gens=3))
+def test_trace_matches_reference_on_arbitrary_groups(g):
+    assert_matches_reference(g)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    abelian_instances(max_degree=14)
+    | st.integers(0, 10_000).map(lambda s: random_coupled_blocks(s, 20))
+)
+def test_trace_matches_reference_property(g):
+    assert_matches_reference(g)
+
+
+def test_decider_enumerates_no_group(monkeypatch, coupled_pool):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decider enumerated a group")
+
+    for name in ("elements", "order", "pointwise_stabilizer", "is_subgroup_of",
+                 "cyclic_constituents"):
+        monkeypatch.setattr(PermGroup, name, refuse)
+    monkeypatch.setattr(PermGroup, "from_elements", staticmethod(refuse))
+    for g in coupled_pool[:100] + [fixture_example1(5), fixture_example2(3)]:
+        decide_2_closed(g)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 10_000).map(lambda s: random_coupled_blocks(s, 24)))
+def test_sylow_part_coordinates_follow_the_points(g):
+    # the p-component of each generator x, x^e with e = 1 mod the p-part
+    # of its order and e = 0 mod the rest, moves the point at coordinate c
+    # of every orbit of the Sylow part to the point at c + its shift
+    orbits = decider._coordinates(g)
+    for p in prime_factors(decider._order(orbits)):
+        for i, x in enumerate(g.generators):
+            m = x.order()
+            while m % p == 0:
+                m //= p
+            images = (x ** (m * pow(m, -1, x.order() // m))).images
+            for o in decider._sylow_part(orbits, p):
+                v = o.shifts[i]
+                assert [images[y] for y in o.points] == o.points[v:] + o.points[:v]
+
+
+def _indep(sizes):
+    """One orbit per size, each shifted by its own generator."""
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    degree = sum(sizes)
+    return PermGroup(degree, [cyc(degree, tuple(range(s, s + q))) for s, q in zip(starts, sizes)])
+
+
+def _diag(k, q):
+    """One generator shifting each of k blocks of size q."""
+    return PermGroup(k * q, [cyc(k * q, *(tuple(range(b * q, b * q + q)) for b in range(k)))])
+
+
+def test_indep_10_z4_beyond_the_element_cap():
+    # enumeration stops at DEFAULT_CAP elements; |G| = 4^10 is past it
+    ok, trace = decide_2_closed(_indep((4,) * 10))
+    assert 4 ** 10 > DEFAULT_CAP
+    assert ok
+    assert trace.steps[0] == Step(VALIDATE, 40, 4 ** 10)
+    assert trace.steps[1] == Step(ZEL_REDUCE, 40, 4 ** 10, (4,) * 10)
+    assert kinds(trace)[2:] == (ORBIT_REMOVAL,) * 9 + (TRANSITIVE_BASE,)
+    assert trace.steps[-1] == Step(TRANSITIVE_BASE, 1, 1)
+    check_trace(trace)
+
+
+def test_diag_z2_on_1100_blocks():
+    ok, trace = decide_2_closed(_diag(1100, 2))
+    assert ok
+    assert kinds(trace) == (VALIDATE,) + (ORBIT_REMOVAL,) * 1099 + (TRANSITIVE_BASE,)
+    removals = trace.steps[1:-1]
+    assert [s.degree for s in removals] == list(range(2200, 2, -2))
+    assert all(s.order == 2 and s.detail == (0, 1) for s in removals)
+    assert trace.steps[-1] == Step(TRANSITIVE_BASE, 2, 2)
+
+
+def test_degree_ten_thousand():
+    p = 3343  # prime, so example1(p) has degree 3p > 10^4
+    ok, trace = decide_2_closed(fixture_example1(p))
+    assert not ok
+    assert trace.steps == (Step(VALIDATE, 3 * p, p * p), Step(ZEL_NOT_INSIDE, 3 * p, p * p))
+    ok, trace = decide_2_closed(_diag(5000, 2))
+    assert ok
+    assert len(trace.steps) == 5001
+    assert trace.steps[-2] == Step(ORBIT_REMOVAL, 4, 2, (0, 1))
+
+
+def _wide_instance(seed):
+    """Blocks of mixed prime-power size under six random shift generators."""
+    rng = random.Random(seed)
+    sizes = [rng.choice((2, 3, 4, 5, 8, 9)) for _ in range(12)]
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    degree = sum(sizes)
+    gens = []
+    for _ in range(6):
+        images = list(range(degree))
+        for start, size in zip(starts, sizes):
+            v = rng.randrange(size) if rng.random() < 0.5 else 0
+            for x in range(size):
+                images[start + x] = start + (x + v) % size
+        gens.append(Permutation(tuple(images)))
+    return PermGroup(degree, gens)
+
+
+def test_orders_agree_with_sympy_at_large_rank():
+    """Schreier-Sims in sympy checks |G| and every Sylow part's order."""
+    pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation as SymPermutation
+    from sympy.combinatorics import PermutationGroup
+
+    groups = [_indep((4,) * 10), _indep((4,) * 6 + (3,) * 5 + (5,) * 2)]
+    groups += [_wide_instance(seed) for seed in range(4)]
+    for g in groups:
+        ok, trace = decide_2_closed(g)
+        gens = [SymPermutation(list(x.images)) for x in g.generators]
+        assert trace.steps[0].order == PermutationGroup(gens).order()
+        if len(trace.steps) < 2 or trace.steps[1].kind != SYLOW_SPLIT:
+            continue
+        # each part's chain opens with the part's order and ends in its base case
+        firsts = [trace.steps[2]] + [
+            trace.steps[i + 1] for i in range(2, len(trace.steps) - 1)
+            if trace.steps[i].kind == TRANSITIVE_BASE
+        ]
+        for p, first in zip(trace.steps[1].detail, firsts):
+            p_parts = []
+            for x in gens:
+                m = x.order()
+                while m % p == 0:
+                    m //= p
+                p_parts.append(x ** m)
+            assert first.order == PermutationGroup(p_parts).order()

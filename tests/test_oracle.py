@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import abelian_instances, perm_groups
+from twoclosure import oracle
+from twoclosure.cli import main
 from twoclosure.coloring import orb2
 from twoclosure.fixtures import fixture_example1, fixture_example2
 from twoclosure.oracle import (
@@ -46,6 +48,21 @@ def test_example2_is_not_closed():
 def test_degree_bound_raises():
     with pytest.raises(BudgetExceeded):
         two_closure(PermGroup.trivial(15))
+
+
+def test_degree_bound_is_checked_before_the_pair_coloring(monkeypatch, tmp_path, capsys):
+    # the n x n coloring of a huge group must never be allocated
+    def no_coloring(group):
+        raise AssertionError("orb2 called above the degree bound")
+
+    monkeypatch.setattr(oracle, "orb2", no_coloring)
+    with pytest.raises(BudgetExceeded):
+        two_closure(PermGroup.trivial(15))
+    path = tmp_path / "wide.grp"
+    path.write_text("degree 3000\ngen (0 1)\n")
+    for argv in (["closure", str(path)], ["decide", str(path), "--oracle-check"]):
+        assert main(argv) == 2
+        assert "exceeds search bound" in capsys.readouterr().err
 
 
 def test_node_budget_raises():
