@@ -8,14 +8,7 @@ zel subgroup, orbit removal) with a verifiable reduction trace.
 """
 
 from .coloring import PairColoring, orb2, preserves
-from .decider import (
-    OracleReport,
-    PreconditionFailed,
-    ReductionTrace,
-    Step,
-    decide_2_closed,
-    decide_with_oracle_check,
-)
+from .decider import PreconditionFailed, ReductionTrace, Step, decide_2_closed, zel
 from .fixtures import (
     NotPrime,
     fixture_example1,
@@ -42,13 +35,9 @@ from .perm import (
 from .reduction import (
     NotAnOrbit,
     NotNilpotent,
-    NotQuasiregular,
     SylowDecomposition,
-    has_unessential_witness,
-    is_quasiregular,
     remove_orbit,
     sylow_decomposition,
-    zel,
 )
 
 __version__ = "0.1.0"
@@ -62,8 +51,6 @@ __all__ = [
     "NotInvariant",
     "NotNilpotent",
     "NotPrime",
-    "NotQuasiregular",
-    "OracleReport",
     "OrbitPartition",
     "PairColoring",
     "ParseError",
@@ -76,12 +63,9 @@ __all__ = [
     "SylowDecomposition",
     "color_automorphisms",
     "decide_2_closed",
-    "decide_with_oracle_check",
     "fixture_example1",
     "fixture_example2",
-    "has_unessential_witness",
     "is_2_closed_oracle",
-    "is_quasiregular",
     "orb2",
     "parse_group",
     "preserves",

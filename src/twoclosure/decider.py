@@ -26,9 +26,9 @@ each step of the chain is integer arithmetic on those vectors:
                by the shift vectors and the vectors |D| e_D
   Sylow part   shifts mod the p-part p^a of |D|; the orbit D splits into
                |D| / p^a cosets, all shifted alike
-  zel factor   on D, the subgroup of index f_D = lcm over D' != D of the
-               index of the shifts on D of the elements fixing D'
-               pointwise (a two-column echelon)
+  zel factor   on D, generated by c^f_D for the constituent generator c,
+               f_D = lcm over D' != D of the index of the shifts on D of
+               the elements fixing D' pointwise (a two-column echelon)
   zel <= G     adding the vectors f_D e_D to the lattice keeps |G|
   ZelReduce    coordinate D taken mod f_D; |G| drops by prod |D| / f_D
   OrbitRemoval coordinate D dropped; |G| stays, since a trivial zel
@@ -40,10 +40,10 @@ orbits and sizes as the group they describe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
-from .oracle import SearchLimits, is_2_closed_oracle
-from .perm import PermGroup, prime_factors
+from .perm import PermGroup, Permutation, prime_factors
 
 VALIDATE = "Validate"
 TRANSITIVE_BASE = "TransitiveBase"
@@ -240,6 +240,18 @@ def _index(a: _Orbit, b: _Orbit) -> int:
     return h
 
 
+def _zel_index(orbits: list[_Orbit], i: int) -> int:
+    """f_D for D = orbits[i]: the zel factor on D intersects, over D' != D,
+    subgroups of the cyclic Z_|D| of index _index(D, D'); its index is their lcm."""
+    a, f = orbits[i], 1
+    for j, b in enumerate(orbits):
+        if j != i:
+            f = math.lcm(f, _index(a, b))
+            if f == a.size:
+                break
+    return f
+
+
 def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
     """Reduce one p-group to its base case, appending the steps taken.
 
@@ -286,13 +298,12 @@ def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
         if lo == k - 1:
             orbits = orbits[lo:]
             break
+        orbits, witness = orbits[lo:], witness[lo:]
         # the index f_D of the zel factor on each orbit D left
         zel = [
-            orbits[i].size if witness[i] >= lo
-            else max(_index(orbits[i], orbits[j]) for j in range(lo, k) if j != i)
-            for i in range(lo, k)
+            o.size if w >= lo else _zel_index(orbits, i)
+            for i, (o, w) in enumerate(zip(orbits, witness))
         ]
-        orbits = orbits[lo:]
         sizes = [o.size for o in orbits]
         if _order(orbits, tuple({i: f} for i, f in enumerate(zel) if f < sizes[i])) != order:
             steps.append(Step(ZEL_NOT_INSIDE, degree, order))
@@ -336,23 +347,32 @@ def decide_2_closed(group: PermGroup) -> tuple[bool, ReductionTrace]:
     return True, ReductionTrace(tuple(steps), True)
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """Side-by-side verdicts of the decision procedure and the search oracle."""
-
-    decided: bool
-    oracle: bool
-    trace: ReductionTrace
-    mismatch: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mismatch", self.decided != self.oracle)
+def group_order(group: PermGroup) -> int:
+    """|G| by arithmetic on the coordinates; PreconditionFailed outside the class."""
+    return _order(_coordinates(group))
 
 
-def decide_with_oracle_check(
-    group: PermGroup,
-    limits: SearchLimits = SearchLimits(),
-) -> OracleReport:
-    """Run the procedure and the brute-force oracle; a mismatch means a bug."""
-    decided, trace = decide_2_closed(group)
-    return OracleReport(decided, is_2_closed_oracle(group, limits), trace)
+def zel(group: PermGroup) -> PermGroup:
+    """The product over orbits D of the intersections of the groups
+    induced on D by the pointwise stabilizers of the other orbits.
+
+    The factor on D is generated by c^f_D, for the generator c that
+    numbers D's coordinates, so |zel(G)| = prod |D| / f_D; one generator
+    per nontrivial factor, in order of minimal point.  Raises
+    PreconditionFailed outside the class, and ValueError for fewer than
+    two orbits, where the intersection would be empty and no convention
+    is assumed for it.
+    """
+    orbits = _coordinates(group)
+    if len(orbits) < 2:
+        raise ValueError(f"zel needs at least two orbits, got {len(orbits)}; "
+                         "not defined for transitive groups")
+    gens = []
+    for i, o in enumerate(orbits):
+        f = _zel_index(orbits, i)
+        if f < o.size:
+            images = list(range(group.degree))
+            for c, x in enumerate(o.points):
+                images[x] = o.points[(c + f) % o.size]
+            gens.append(Permutation(tuple(images)))
+    return PermGroup(group.degree, gens)

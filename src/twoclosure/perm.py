@@ -267,8 +267,8 @@ class PermGroup:
             frontier = new
         return frozenset(els)
 
-    def order(self, cap: int = DEFAULT_CAP) -> int:
-        return len(self.elements(cap))
+    def order(self) -> int:
+        return len(self.elements())
 
     def is_trivial(self) -> bool:
         return not self.generators
@@ -305,11 +305,11 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
 
-    def pointwise_stabilizer(self, points: Iterable[int], cap: int = DEFAULT_CAP) -> PermGroup:
+    def pointwise_stabilizer(self, points: Iterable[int]) -> PermGroup:
         """Subgroup fixing every listed point, with its full element set as generators."""
         pts = self._check_points(points)
         stab = [
-            g for g in self.elements(cap) if all(g.images[p] == p for p in pts)
+            g for g in self.elements() if all(g.images[p] == p for p in pts)
         ]
         return PermGroup.from_elements(self.degree, stab)
 
@@ -328,11 +328,11 @@ class PermGroup:
             gens.append(Permutation(tuple(index[g.images[p]] for p in pts)))
         return PermGroup(len(pts), gens)
 
-    def is_subgroup_of(self, other: PermGroup, cap: int = DEFAULT_CAP) -> bool:
+    def is_subgroup_of(self, other: PermGroup) -> bool:
         """True iff every generator of this group lies in ``other`` (degrees must match)."""
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return set(self.generators) <= other.elements(cap)
+        return set(self.generators) <= other.elements()
 
     def induced_on_orbits(self, inner: PermGroup) -> PermGroup:
         """The action of this group on the orbits of ``inner``.
@@ -366,12 +366,12 @@ class PermGroup:
             for j in range(i + 1, len(gens))
         )
 
-    def cyclic_constituents(self, cap: int = DEFAULT_CAP) -> bool:
+    def cyclic_constituents(self) -> bool:
         """True iff the action induced on every orbit is a cyclic group."""
         for cls in self.orbits().classes:
             constituent = self.restriction(cls)
-            target = constituent.order(cap)
-            if not any(g.order() == target for g in constituent.elements(cap)):
+            target = constituent.order()
+            if not any(g.order() == target for g in constituent.elements()):
                 return False
         return True
 

@@ -16,7 +16,7 @@ from twoclosure.decider import (
     Step,
 )
 from twoclosure.perm import prime_factors
-from twoclosure.reduction import remove_orbit, sylow_decomposition, zel
+from twoclosure.reduction import remove_orbit, sylow_decomposition
 
 
 def permutations(degree):
@@ -85,6 +85,39 @@ def random_coupled_blocks(seed, max_degree=14):
     return PermGroup(total, gens)
 
 
+def reference_zel(group):
+    """zel(G) by enumeration, as the library computed it before its
+    coordinate form: the product over orbits D of the intersections of
+    the element sets induced on D by the pointwise stabilizers of the
+    other orbits, each factor lifted back by the identity elsewhere.
+    """
+    classes = group.orbits().classes
+    if len(classes) < 2:
+        raise ValueError("zel is not defined for transitive groups")
+    gens = []
+    for cls in classes:
+        factor = None
+        for other in classes:
+            if other == cls:
+                continue
+            els = group.pointwise_stabilizer(other).restriction(cls).elements()
+            factor = els if factor is None else factor & els
+            if len(factor) == 1:
+                break
+        for f in factor:
+            images = list(range(group.degree))
+            for i, x in enumerate(cls):
+                images[x] = cls[f.images[i]]
+            gens.append(Permutation(tuple(images)))
+    return PermGroup(group.degree, gens)
+
+
+def witness(group, cls):
+    """The first other orbit whose pointwise stabilizer fixes cls pointwise, if any."""
+    return next((other for other in group.orbits().classes if other != cls
+                 and group.pointwise_stabilizer(other).restriction(cls).is_trivial()), None)
+
+
 def reference_decide(group):
     """The decision procedure by group enumeration, as the library ran it
     before its coordinate form: the reference the decider's traces must
@@ -103,7 +136,7 @@ def reference_decide(group):
     for g in parts:
         while not g.is_transitive():
             order = g.order()
-            z = zel(g)
+            z = reference_zel(g)
             if z.is_trivial():
                 removed = g.orbits().classes[0]
                 steps.append(Step(ORBIT_REMOVAL, g.degree, order, removed))

@@ -7,6 +7,7 @@ also assert their wall-clock budgets.
 
 import time
 
+from conftest import witness
 from twoclosure.coloring import orb2
 from twoclosure.decider import decide_2_closed
 from twoclosure.fixtures import (
@@ -17,12 +18,7 @@ from twoclosure.fixtures import (
 )
 from twoclosure.oracle import is_2_closed_oracle, two_closure
 from twoclosure.perm import PermGroup, Permutation, prime_factors
-from twoclosure.reduction import (
-    has_unessential_witness,
-    remove_orbit,
-    sylow_decomposition,
-    zel,
-)
+from twoclosure.reduction import remove_orbit, sylow_decomposition, zel
 
 SWEEP_SEEDS = range(200)
 SWEEP_MAX_DEGREE = 10
@@ -167,7 +163,7 @@ def test_criterion_8_witnessed_removal_is_sound():
             continue
         closed = is_2_closed_oracle(g)
         for cls in classes:
-            if has_unessential_witness(g, cls) is None:
+            if witness(g, cls) is None:
                 continue
             fired += 1
             ok = ok and closed == is_2_closed_oracle(remove_orbit(g, cls))

@@ -1,9 +1,15 @@
 import io
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoclosure.cli import main
 from twoclosure.coloring import orb2
+from twoclosure.decider import zel
 from twoclosure.fixtures import fixture_example1, random_abelian_cyclic
 from twoclosure.groupfile import parse_group, serialize_group
 
@@ -51,6 +57,14 @@ def test_decide_with_oracle_check(tmp_path, capsys):
     assert "agreement ok" in lines
 
 
+def test_oracle_disagreement_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("twoclosure.cli.is_2_closed_oracle", lambda group: True)
+    path = write_group(tmp_path, "ex1.grp", serialize_group(fixture_example1(2)))
+    code, out, _ = run(capsys, "decide", path, "--oracle-check")
+    assert code == 2
+    assert out.splitlines()[-3:] == ["verdict not-2-closed", "oracle 2-closed", "agreement MISMATCH"]
+
+
 def test_decide_renders_detail_fields(tmp_path, capsys):
     path = write_group(tmp_path, "mix.grp", "degree 5\ngen (0 1)\ngen (2 3 4)\n")
     code, out, _ = run(capsys, "decide", path)
@@ -92,6 +106,25 @@ def test_zel_output_matches_library(tmp_path, capsys):
     code, out, _ = run(capsys, "zel", path)
     assert code == 0
     assert out.splitlines()[0] == "# order 8"
+
+
+def test_zel_at_a_size_enumeration_cannot_reach(tmp_path, capsys):
+    g = fixture_example1(101)
+    path = write_group(tmp_path, "ex1.grp", serialize_group(g))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "zel", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[0] == "# order 1030301"
+    assert parse_group(out) == zel(g)
+
+
+def test_zel_outside_the_class_exits_two(tmp_path, capsys):
+    path = write_group(tmp_path, "klein.grp", "degree 5\ngen (0 1)(2 3)\ngen (0 2)(1 3)\n")
+    code, out, err = run(capsys, "zel", path)
+    assert code == 2
+    assert out == ""
+    assert "constituent" in err
 
 
 def test_zel_on_transitive_group_exits_two(tmp_path, capsys):
@@ -151,6 +184,38 @@ def test_stdin_input(monkeypatch, capsys):
     code, out, _ = run(capsys, "decide", "-")
     assert code == 0
     assert "verdict 2-closed" in out
+
+
+@pytest.mark.parametrize("command", ("decide", "zel", "orbits"))
+@pytest.mark.parametrize("degree", ("100000000000000000000", "50000000"))
+def test_huge_degree_header_exits_two(tmp_path, capsys, command, degree):
+    path = write_group(tmp_path, "huge.grp", f"degree {degree}\n")
+    code, out, err = run(capsys, command, path)
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit" in err
+
+
+# degrees either small or past the parser's limit, never slow to decide
+_HEADER = st.one_of(
+    st.integers(0, 30).map("degree {}".format),
+    st.integers(10 ** 7, 10 ** 25).map("degree {}".format),
+    st.text(max_size=20),
+)
+_LINE = st.one_of(
+    st.text(max_size=30),
+    st.from_regex(r"gen ?(\([0-9][0-9 ,]{0,8}\)){0,3}", fullmatch=True),
+    st.from_regex(r"gen ?\[[0-9 ,]{0,20}\]", fullmatch=True),
+)
+_TEXT = st.builds(lambda header, lines: "\n".join([header, *lines]), _HEADER, st.lists(_LINE, max_size=4))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(("decide", "zel", "orbits", "closure")), _TEXT)
+def test_arbitrary_text_exits_with_a_code(command, text):
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main([command, "-"]) in (0, 1, 2)
 
 
 def test_usage_errors_exit_two(capsys):

@@ -23,7 +23,7 @@ from twoclosure.decider import (
     ReductionTrace,
     Step,
     decide_2_closed,
-    decide_with_oracle_check,
+    zel,
 )
 from twoclosure.fixtures import (
     fixture_example1,
@@ -31,6 +31,8 @@ from twoclosure.fixtures import (
     random_abelian_cyclic,
     random_regular_abelian,
 )
+from twoclosure.cli import main
+from twoclosure.groupfile import serialize_group
 from twoclosure.oracle import is_2_closed_oracle
 from twoclosure.perm import DEFAULT_CAP, PermGroup, Permutation, prime_factors
 
@@ -166,15 +168,13 @@ def test_step_rejects_unknown_kinds():
 
 
 def test_oracle_check_reports():
-    report = decide_with_oracle_check(fixture_example1(2))
-    assert report.decided is False
-    assert report.oracle is False
-    assert not report.mismatch
+    g = fixture_example1(2)
+    assert decide_2_closed(g)[0] is False
+    assert is_2_closed_oracle(g) is False
 
-    report = decide_with_oracle_check(PermGroup(6, [cyc(6, tuple(range(6)))]))
-    assert report.decided is True
-    assert report.oracle is True
-    assert not report.mismatch
+    g = PermGroup(6, [cyc(6, tuple(range(6)))])
+    assert decide_2_closed(g)[0] is True
+    assert is_2_closed_oracle(g) is True
 
 
 def _relabel(group, perm):
@@ -194,9 +194,9 @@ def test_verdict_is_invariant_under_relabeling(g, rng):
 @settings(deadline=None, max_examples=50)
 @given(abelian_instances(max_degree=10))
 def test_decision_agrees_with_oracle(g):
-    report = decide_with_oracle_check(g)
-    assert not report.mismatch
-    check_trace(report.trace)
+    closed, trace = decide_2_closed(g)
+    assert closed == is_2_closed_oracle(g)
+    check_trace(trace)
 
 
 def _outcome(decide, group):
@@ -241,9 +241,9 @@ def test_trace_matches_reference_on_coupled_blocks(coupled_pool):
 
 
 def test_decision_agrees_with_oracle_on_coupled_blocks(coupled_pool):
-    verdicts = [decide_with_oracle_check(g) for g in coupled_pool]
-    assert not [i for i, report in enumerate(verdicts) if report.mismatch]
-    assert sum(not report.decided for report in verdicts) >= len(coupled_pool) / 4
+    verdicts = [decide_2_closed(g)[0] for g in coupled_pool]
+    assert not [i for i, g in enumerate(coupled_pool) if verdicts[i] != is_2_closed_oracle(g)]
+    assert sum(not closed for closed in verdicts) >= len(coupled_pool) / 4
 
 
 @settings(deadline=None, max_examples=100)
@@ -261,7 +261,7 @@ def test_trace_matches_reference_property(g):
     assert_matches_reference(g)
 
 
-def test_decider_enumerates_no_group(monkeypatch, coupled_pool):
+def test_decider_enumerates_no_group(monkeypatch, coupled_pool, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the decider enumerated a group")
 
@@ -269,8 +269,18 @@ def test_decider_enumerates_no_group(monkeypatch, coupled_pool):
                  "cyclic_constituents"):
         monkeypatch.setattr(PermGroup, name, refuse)
     monkeypatch.setattr(PermGroup, "from_elements", staticmethod(refuse))
-    for g in coupled_pool[:100] + [fixture_example1(5), fixture_example2(3)]:
+    groups = coupled_pool[:100] + [fixture_example1(5), fixture_example2(3)]
+    for g in groups:
         decide_2_closed(g)
+        if len(g.orbits()) > 1:
+            zel(g)
+    path = tmp_path / "g.grp"
+    for g in groups[:20] + groups[-2:]:
+        path.write_text(serialize_group(g))
+        assert main(["decide", str(path)]) in (0, 1)
+        if len(g.orbits()) > 1:
+            assert main(["zel", str(path)]) == 0
+    capsys.readouterr()
 
 
 @settings(deadline=None, max_examples=50)

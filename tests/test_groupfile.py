@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from conftest import perm_groups
 from twoclosure.fixtures import fixture_example1, fixture_example2, random_abelian_cyclic
 from twoclosure.groupfile import (
+    MAX_DEGREE,
     InvalidPermutation,
     ParseError,
     parse_group,
@@ -85,6 +86,16 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as info:
         parse_group("degree 3\ngen (0 1) junk")
     assert (info.value.line, info.value.column) == (2, 11)
+
+
+def test_degree_above_the_limit_is_refused_at_its_column():
+    for text, column in (("degree 100000000000000000000\n", 8), ("  degree\t50000000", 10)):
+        with pytest.raises(ParseError, match="exceeds the limit") as info:
+            parse_group(text)
+        assert (info.value.line, info.value.column) == (1, column)
+    with pytest.raises(ParseError):
+        parse_group(f"degree {MAX_DEGREE + 1}")
+    assert parse_group(f"degree 00{MAX_DEGREE}").degree == MAX_DEGREE
 
 
 def test_invalid_permutations():

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian_instances
+from conftest import abelian_instances, reference_zel, witness
+from twoclosure.decider import PreconditionFailed
 from twoclosure.fixtures import (
     fixture_example1,
     fixture_example2,
@@ -13,9 +14,6 @@ from twoclosure.perm import PermGroup, Permutation, prime_factors
 from twoclosure.reduction import (
     NotAnOrbit,
     NotNilpotent,
-    NotQuasiregular,
-    has_unessential_witness,
-    is_quasiregular,
     remove_orbit,
     sylow_decomposition,
     zel,
@@ -132,8 +130,41 @@ def test_zel_of_independent_shifts_is_whole_group():
 
 
 def test_zel_rejects_transitive_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="transitive"):
         zel(PermGroup(4, [cyc(4, (0, 1, 2, 3))]))
+
+
+def test_zel_rejects_input_outside_the_class():
+    # the Klein four-group next to a fixed point: a non-cyclic constituent
+    klein = PermGroup(5, [cyc(5, (0, 1), (2, 3)), cyc(5, (0, 2), (1, 3))])
+    with pytest.raises(PreconditionFailed):
+        zel(klein)
+    # a non-abelian group with two orbits
+    with pytest.raises(PreconditionFailed):
+        zel(PermGroup(4, [cyc(4, (0, 1)), cyc(4, (0, 1, 2))]))
+
+
+def assert_zel_matches_reference(g):
+    z, ref = zel(g), reference_zel(g)
+    assert z.elements() == ref.elements(), g
+    assert len(z.generators) == sum(not ref.restriction(c).is_trivial() for c in g.orbits().classes)
+
+
+def test_zel_index_is_an_lcm_across_primes():
+    # Z6 shifting blocks of size 6, 2 and 3 together: fixing the 2-block
+    # leaves even shifts on the 6-block, fixing the 3-block multiples of
+    # 3, so the factor on the 6-block has index lcm(2, 3) = 6: trivial
+    g = PermGroup(11, [cyc(11, tuple(range(6)), (6, 7), (8, 9, 10))])
+    assert zel(g).is_trivial()
+    assert_zel_matches_reference(g)
+
+
+def test_zel_matches_reference(sweep_pool, coupled_pool):
+    pools = [fixture_example1(p) for p in (2, 3, 5, 7)]
+    pools += [fixture_example2(p) for p in (2, 3, 5)]
+    for g in pools + sweep_pool + coupled_pool:
+        if len(g.orbits()) >= 2:
+            assert_zel_matches_reference(g)
 
 
 def test_zel_condition_on_fixtures():
@@ -169,32 +200,19 @@ def test_zel_is_inside_the_closure(g):
 
 def test_witness_on_example2_is_the_twin_orbit():
     h = fixture_example2(2)
-    assert has_unessential_witness(h, (0, 1)) == (6, 7)
-    assert has_unessential_witness(h, (6, 7)) == (0, 1)
+    assert witness(h, (0, 1)) == (6, 7)
+    assert witness(h, (6, 7)) == (0, 1)
 
 
 def test_example1_has_no_witness():
     g = fixture_example1(2)
     for cls in g.orbits().classes:
-        assert has_unessential_witness(g, cls) is None
+        assert witness(g, cls) is None
 
 
 def test_fixed_point_with_another_orbit_has_witness():
     g = PermGroup(3, [cyc(3, (1, 2))])
-    assert has_unessential_witness(g, (0,)) == (1, 2)
-
-
-def test_witness_requires_quasiregular_input():
-    sym3 = PermGroup(3, [cyc(3, (0, 1)), cyc(3, (0, 1, 2))])
-    with pytest.raises(NotQuasiregular):
-        has_unessential_witness(sym3, (0, 1, 2))
-    assert not is_quasiregular(sym3)
-    assert is_quasiregular(fixture_example1(2))
-
-
-def test_witness_rejects_non_orbits():
-    with pytest.raises(NotAnOrbit):
-        has_unessential_witness(fixture_example1(2), (0, 2))
+    assert witness(g, (0,)) == (1, 2)
 
 
 def test_remove_fixed_point_keeps_the_group():
@@ -231,6 +249,5 @@ def test_witnessed_removal_preserves_closedness(g):
     if len(classes) < 2:
         return
     for cls in classes:
-        witness = has_unessential_witness(g, cls)
-        if witness is not None:
+        if witness(g, cls) is not None:
             assert is_2_closed_oracle(g) == is_2_closed_oracle(remove_orbit(g, cls))

@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
     "argv",
     [
         ["examples_walkthrough.py"],
-        ["agreement_sweep.py", "--count", "20"],
     ],
 )
 def test_script_exits_zero(argv):
