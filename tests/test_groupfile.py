@@ -152,3 +152,62 @@ def test_round_trip_arbitrary_groups(g):
 def test_two_digit_points_round_trip():
     g = PermGroup(12, [Permutation.from_cycles(12, [(0, 10, 11)])])
     assert parse_group(serialize_group(g)) == g
+
+
+# One row per message the parser can produce: text, class, line, column, message.
+_ERRORS = [
+    ("# only a comment\n", ParseError, 2, 1, "missing 'degree N' header"),
+    ("gen (0 1)", ParseError, 1, 1, "expected 'degree N' header"),
+    ("degree x", ParseError, 1, 7, "expected a number after 'degree'"),
+    ("degree 1000001", ParseError, 1, 8, "degree exceeds the limit 1000000"),
+    ("degree 3\nfoo (0 1)", ParseError, 2, 1, "expected 'gen', got 'foo'"),
+    ("degree 3\ngen", ParseError, 2, 4, "missing permutation after 'gen'"),
+    ("degree 3\ngen {0 1}", ParseError, 2, 5, "expected '(' or '[', got '{'"),
+    ("degree 3\ngen [0,,1,2]", ParseError, 2, 8, "expected a point, got ','"),
+    ("degree 3\ngen (0 1", ParseError, 2, 9, "unclosed '('"),
+    ("degree 3\ngen [0, 1, 2", ParseError, 2, 13, "unclosed '['"),
+    ("degree 3\ngen (0 3)", InvalidPermutation, 2, 8, "point 3 out of range for degree 3"),
+    ("degree 3\ngen [0, 1, 3]", InvalidPermutation, 2, 12, "value 3 out of range for degree 3"),
+    ("degree 3\n\n  gen (0 1)(1 2)  ", InvalidPermutation, 3, 13, "point 1 repeated in cycles"),
+    ("degree 3\ngen [0, 0, 1]", InvalidPermutation, 2, 9, "value 0 repeated in image list"),
+    ("degree 3\ngen [0, 1]", InvalidPermutation, 2, 10, "image list has 2 entries, expected 3"),
+    ("degree 3\ngen [0 1 2]  [1]", ParseError, 2, 14, "unexpected trailing '['"),
+]
+
+
+@pytest.mark.parametrize("text, cls, line, column, message", _ERRORS)
+def test_every_error_message(text, cls, line, column, message):
+    with pytest.raises(ParseError) as info:
+        parse_group(text)
+    assert type(info.value) is cls
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"line {line}, column {column}: {message}"
+
+
+def test_blanks_and_one_comma_separate_points():
+    assert parse_group("degree 3\ngen [,1 0\t2,]") == parse_group("degree 3\ngen [1,0,2]")
+    assert parse_group("degree 3\ngen (,0, 1,)(,) (2)") == parse_group("degree 3\ngen (0 1)")
+    assert parse_group("degree 3\ngen [001 0 2]") == parse_group("degree 3\ngen [1,0,2]")
+
+
+_FRAGMENTS = ("0", "1", "2", "3", "10", "007", " ", "  ", "\t", ",", "(", ")", "[", "]", "x", "#")
+_NEAR_VALID_LINE = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=14).map(lambda xs: "gen " + "".join(xs)),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=8).map("".join),
+    st.text(max_size=12),
+)
+_NEAR_VALID = st.builds(
+    lambda degree, lines: "\n".join([f"degree {degree}", *lines]),
+    st.integers(0, 4),
+    st.lists(_NEAR_VALID_LINE, max_size=4),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.text(max_size=40), _NEAR_VALID))
+def test_parse_returns_a_group_or_raises_parse_error(text):
+    try:
+        group = parse_group(text)
+    except ParseError:
+        return
+    assert isinstance(group, PermGroup)
