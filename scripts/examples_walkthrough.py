@@ -10,11 +10,11 @@ Usage: python scripts/examples_walkthrough.py [--primes 2 3]
 
 import argparse
 
+from twoclosure import zel
 from twoclosure.cli import render_step
 from twoclosure.decider import decide_2_closed
 from twoclosure.fixtures import fixture_example1, fixture_example2
 from twoclosure.oracle import MAX_ORACLE_DEGREE, two_closure
-from twoclosure.reduction import zel
 
 
 def show(name, group):

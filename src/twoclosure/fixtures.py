@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from .perm import PermGroup, Permutation
+from .perm import PermGroup, Permutation, prime_factors
 
 
 class NotPrime(ValueError):
@@ -23,7 +23,7 @@ class NotPrime(ValueError):
 
 
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if prime_factors(p) != (p,):
         raise NotPrime(f"{p} is not prime")
 
 

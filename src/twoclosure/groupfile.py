@@ -5,10 +5,12 @@
     gen (0 1)(4 5)
     gen [1,0,3,2,4,5]
 
-Generators are written either in disjoint-cycle notation or as a full
-image list in brackets; inside either form, spaces and commas both
-separate numbers.  The format round-trips: parse(serialize(G)) == G.
-A degree above MAX_DEGREE is refused before anything is allocated.
+A generator is written in disjoint-cycle notation, a run of (...) groups,
+or as a full image list, one [...] group.  Inside a group, points are
+separated by blanks or by one comma, which may also lead or trail; they
+may carry leading zeros, and () is the identity.  The format round-trips:
+parse(serialize(G)) == G.  A degree above MAX_DEGREE is refused before
+anything is allocated, and every malformed file raises ParseError.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import re
 
 from .perm import PermGroup, Permutation
 
-_NUMBER = re.compile(r"\d+")
+# blanks, at most one comma, blanks, then the digits of a point (maybe none)
+_POINT = re.compile(r"[ \t]*,?[ \t]*(\d*)")
 
 # Deciding a degree-10^6 group already takes about 30 s and 1 GB (Python
 # 3.11, 2 vCPUs); far larger headers exhaust memory or overflow.
@@ -50,16 +53,14 @@ def parse_group(text: str) -> PermGroup:
         if degree is None:
             if word != "degree":
                 raise ParseError("expected 'degree N' header", lineno, indent + 1)
-            rest = stripped[len(word):]
-            m = re.fullmatch(r"\s+(\d+)\s*", rest)
+            m = re.fullmatch(r"\s+(\d+)\s*", stripped[len(word):])
             if not m:
                 raise ParseError("expected a number after 'degree'", lineno,
                                  indent + len(word) + 1)
-            digits = m.group(1).lstrip("0") or "0"
-            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+            _, degree = _number(m.group(1), MAX_DEGREE)
+            if degree is None or degree > MAX_DEGREE:
                 raise ParseError(f"degree exceeds the limit {MAX_DEGREE}",
                                  lineno, indent + len(word) + m.start(1) + 1)
-            degree = int(digits)
             continue
         if word != "gen":
             raise ParseError(f"expected 'gen', got {word!r}", lineno, indent + 1)
@@ -82,97 +83,64 @@ def _skip_spaces(line: str, pos: int) -> int:
     return pos
 
 
-def _scan_number(line: str, pos: int, lineno: int) -> tuple[int, int, int]:
-    """Read one integer; returns (value, its column, position after it)."""
-    m = _NUMBER.match(line, pos)
-    if not m:
-        found = line[pos] if pos < len(line) else "end of line"
-        raise ParseError(f"expected a point, got {found!r}", lineno, pos + 1)
-    return int(m.group()), pos + 1, m.end()
+def _number(digits: str, limit: int) -> tuple[str, int | None]:
+    """The digits in ASCII without leading zeros, and their value, or None if
+    there are more digits than limit has (int() refuses more than 4300)."""
+    if not digits.isascii():  # other Unicode decimal digits, as int() reads them
+        digits = "".join(str(int(c)) for c in digits)
+    digits = digits.lstrip("0") or "0"
+    return digits, int(digits) if len(digits) <= len(str(limit)) else None
 
 
 def _parse_perm(line: str, pos: int, degree: int, lineno: int) -> Permutation:
+    seen: set[int] = set()
+
+    def group(bracket: str) -> list[int]:
+        """The points of the group whose opening bracket is at pos; pos moves past it."""
+        nonlocal pos
+        if bracket == "(":
+            close, noun, kind = ")", "point", "cycles"
+        else:
+            close, noun, kind = "]", "value", "image list"
+        points = []
+        pos += 1
+        while True:
+            m = _POINT.match(line, pos)
+            pos, digits = m.start(1), m.group(1)
+            if not digits:
+                if pos >= len(line):
+                    raise ParseError(f"unclosed {bracket!r}", lineno, pos + 1)
+                if line[pos] == close:
+                    pos += 1
+                    return points
+                raise ParseError(f"expected a point, got {line[pos]!r}", lineno, pos + 1)
+            shown, value = _number(digits, degree)
+            if value is None or value >= degree:
+                raise InvalidPermutation(f"{noun} {shown} out of range for degree {degree}",
+                                         lineno, pos + 1)
+            if value in seen:
+                raise InvalidPermutation(f"{noun} {value} repeated in {kind}", lineno, pos + 1)
+            seen.add(value)
+            points.append(value)
+            pos = m.end()
+
     pos = _skip_spaces(line, pos)
     if pos >= len(line):
         raise ParseError("missing permutation after 'gen'", lineno, pos + 1)
-    if line[pos] == "[":
-        return _parse_images(line, pos, degree, lineno)
-    if line[pos] == "(":
-        return _parse_cycles(line, pos, degree, lineno)
-    raise ParseError(
-        f"expected '(' or '[', got {line[pos]!r}", lineno, pos + 1
-    )
-
-
-def _parse_images(line: str, pos: int, degree: int, lineno: int) -> Permutation:
-    pos += 1  # past '['
-    images: list[int] = []
-    seen = set()
-    while True:
-        pos = _skip_spaces(line, pos)
-        if pos < len(line) and line[pos] == ",":
-            pos = _skip_spaces(line, pos + 1)
-        if pos >= len(line):
-            raise ParseError("unclosed '['", lineno, pos + 1)
-        if line[pos] == "]":
-            pos += 1
-            break
-        value, column, pos = _scan_number(line, pos, lineno)
-        if value >= degree:
-            raise InvalidPermutation(
-                f"value {value} out of range for degree {degree}", lineno, column
-            )
-        if value in seen:
-            raise InvalidPermutation(
-                f"value {value} repeated in image list", lineno, column
-            )
-        seen.add(value)
-        images.append(value)
-    _expect_end(line, pos, lineno)
-    if len(images) != degree:
-        raise InvalidPermutation(
-            f"image list has {len(images)} entries, expected {degree}",
-            lineno, pos,
-        )
-    return Permutation(tuple(images))
-
-
-def _parse_cycles(line: str, pos: int, degree: int, lineno: int) -> Permutation:
-    cycles: list[list[int]] = []
-    seen = set()
-    while pos < len(line) and line[pos] == "(":
-        pos += 1
-        cycle: list[int] = []
-        while True:
-            pos = _skip_spaces(line, pos)
-            if pos < len(line) and line[pos] == ",":
-                pos = _skip_spaces(line, pos + 1)
-            if pos >= len(line):
-                raise ParseError("unclosed '('", lineno, pos + 1)
-            if line[pos] == ")":
-                pos += 1
-                break
-            value, column, pos = _scan_number(line, pos, lineno)
-            if value >= degree:
-                raise InvalidPermutation(
-                    f"point {value} out of range for degree {degree}", lineno, column
-                )
-            if value in seen:
-                raise InvalidPermutation(
-                    f"point {value} repeated in cycles", lineno, column
-                )
-            seen.add(value)
-            cycle.append(value)
-        if cycle:
-            cycles.append(cycle)
-        pos = _skip_spaces(line, pos)
-    _expect_end(line, pos, lineno)
-    return Permutation.from_cycles(degree, cycles)
-
-
-def _expect_end(line: str, pos: int, lineno: int) -> None:
+    bracket = line[pos]
+    if bracket not in "([":
+        raise ParseError(f"expected '(' or '[', got {bracket!r}", lineno, pos + 1)
+    groups = [group(bracket)]
+    end = pos
     pos = _skip_spaces(line, pos)
+    while bracket == "(" and pos < len(line) and line[pos] == "(":
+        groups.append(group("("))
+        pos = _skip_spaces(line, pos)
     if pos < len(line):
-        raise ParseError(
-            f"unexpected trailing {line[pos]!r}", lineno, pos + 1
-        )
+        raise ParseError(f"unexpected trailing {line[pos]!r}", lineno, pos + 1)
+    if bracket == "(":
+        return Permutation.from_cycles(degree, groups)
+    if len(groups[0]) != degree:
+        raise InvalidPermutation(
+            f"image list has {len(groups[0])} entries, expected {degree}", lineno, end)
+    return Permutation(tuple(groups[0]))

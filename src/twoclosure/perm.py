@@ -1,9 +1,11 @@
 """Permutations and finitely generated permutation groups.
 
-Everything here works by exact enumeration: the target groups are small
-(abelian, desk scale), so stabilizers, membership tests and intersections
-all filter the full element set instead of using stabilizer chains.  The
-element cap keeps runaway inputs from eating the machine.
+Group-level queries (order, membership, stabilizers, subgroup tests,
+constituent checks) work by exact enumeration, filtering the full element
+set instead of using stabilizer chains.  The decider does not call them:
+it works on cyclic coordinates.  The enumeration serves the brute-force
+oracle and the tests' reference procedures, and the element cap
+(DEFAULT_CAP) keeps runaway inputs from eating the machine.
 """
 
 from __future__ import annotations
@@ -235,13 +237,14 @@ class PermGroup:
         gens = ", ".join(str(g) for g in self.generators)
         return f"PermGroup(degree={self.degree}, gens=[{gens}])"
 
-    def elements(self, cap: int = DEFAULT_CAP) -> frozenset[Permutation]:
+    def elements(self) -> frozenset[Permutation]:
         """All group elements: breadth-first closure of the generators.
 
-        Raises CapExceeded with the partial count if more than ``cap``
-        elements are found; the enumeration is complete iff the group
-        order is at most ``cap``.
+        Raises CapExceeded with the partial count if more than DEFAULT_CAP
+        (read at call time) elements are found; the enumeration is
+        complete iff the group order is at most DEFAULT_CAP.
         """
+        cap = DEFAULT_CAP
         if self._elements is None:
             self._elements = self._close(cap)
         if len(self._elements) > cap:

@@ -165,6 +165,24 @@ def test_example_subcommand_rejects_non_prime(capsys):
     assert "not prime" in err
 
 
+@pytest.mark.parametrize("argv", (
+    ("example1", "333337"),
+    ("example2", "166667"),
+    ("random", "--seed", "1", "--max-degree", "1000001"),
+))
+def test_fixture_above_the_degree_limit_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit 1000000" in err
+
+
+def test_random_at_the_degree_limit_is_accepted(capsys):
+    code, out, _ = run(capsys, "random", "--seed", "1", "--max-degree", "1000000")
+    assert code == 0
+    assert parse_group(out) == random_abelian_cyclic(1, 1_000_000)
+
+
 def test_random_subcommand_is_deterministic(capsys):
     code, first, _ = run(capsys, "random", "--seed", "5", "--max-degree", "9")
     assert code == 0
@@ -194,6 +212,14 @@ def test_huge_degree_header_exits_two(tmp_path, capsys, command, degree):
     assert code == 2
     assert out == ""
     assert "exceeds the limit" in err
+
+
+def test_huge_point_exits_two_with_its_position(tmp_path, capsys):
+    path = write_group(tmp_path, "huge.grp", "degree 3\ngen (0 " + "1" * 5000 + ")\n")
+    code, out, err = run(capsys, "decide", path)
+    assert code == 2
+    assert out == ""
+    assert "line 2, column 8" in err
 
 
 # degrees either small or past the parser's limit, never slow to decide

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import perm_groups
@@ -190,6 +190,27 @@ def test_blanks_and_one_comma_separate_points():
     assert parse_group("degree 3\ngen [001 0 2]") == parse_group("degree 3\ngen [1,0,2]")
 
 
+# int() refuses strings of more than 4300 digits; the parser never hands it one.
+_HUGE_POINT = "degree 3\ngen (0 " + "1" * 5000 + ")"
+_PADDED_IMAGES = "degree 3\ngen [" + "0" * 5000 + "1 0 2]"
+
+
+def test_huge_point_is_out_of_range_at_its_column():
+    with pytest.raises(InvalidPermutation) as info:
+        parse_group(_HUGE_POINT)
+    assert (info.value.line, info.value.column) == (2, 8)
+    assert str(info.value) == f"line 2, column 8: point {'1' * 5000} out of range for degree 3"
+
+
+def test_zero_padded_point_of_any_length_parses():
+    assert parse_group(_PADDED_IMAGES).generators == (Permutation((1, 0, 2)),)
+    # int() reads every Unicode decimal digit, and the parser reads them as int() does
+    arabic_indic = "degree 3\ngen [" + "\u0660" * 5000 + "\u0661 0 2]"
+    assert parse_group(arabic_indic) == parse_group(_PADDED_IMAGES)
+    with pytest.raises(InvalidPermutation, match="point 13 out of range for degree 3"):
+        parse_group("degree 3\ngen (\u0660\u0661\u0663)")
+
+
 _FRAGMENTS = ("0", "1", "2", "3", "10", "007", " ", "  ", "\t", ",", "(", ")", "[", "]", "x", "#")
 _NEAR_VALID_LINE = st.one_of(
     st.lists(st.sampled_from(_FRAGMENTS), max_size=14).map(lambda xs: "gen " + "".join(xs)),
@@ -205,6 +226,8 @@ _NEAR_VALID = st.builds(
 
 @settings(deadline=None, max_examples=300)
 @given(st.one_of(st.text(max_size=40), _NEAR_VALID))
+@example(_HUGE_POINT)
+@example(_PADDED_IMAGES)
 def test_parse_returns_a_group_or_raises_parse_error(text):
     try:
         group = parse_group(text)

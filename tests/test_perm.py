@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import abelian_instances, perm_groups, permutations
+from twoclosure import perm
 from twoclosure.fixtures import fixture_example1
 from twoclosure.perm import (
     CapExceeded,
@@ -80,19 +81,21 @@ def test_enumerate_example1_p3():
     assert fixture_example1(3).order() == 9
 
 
-def test_cap_exceeded_carries_partial_count():
+def test_cap_exceeded_carries_partial_count(monkeypatch):
+    monkeypatch.setattr(perm, "DEFAULT_CAP", 100)
     sym7 = PermGroup(7, [cyc(7, (0, 1)), cyc(7, tuple(range(7)))])
     with pytest.raises(CapExceeded) as info:
-        sym7.elements(cap=100)
+        sym7.elements()
     assert info.value.cap == 100
     assert info.value.partial == 101
 
 
-def test_cap_applies_to_memoized_elements():
+def test_cap_applies_to_memoized_elements(monkeypatch):
     g = fixture_example1(3)
     assert g.order() == 9
+    monkeypatch.setattr(perm, "DEFAULT_CAP", 5)
     with pytest.raises(CapExceeded) as info:
-        g.elements(cap=5)
+        g.elements()
     assert info.value.cap == 5
     assert info.value.partial == 9
 
