@@ -4,7 +4,7 @@ Subcommands read a group file (or '-' for stdin) and print deterministic
 text, so outputs can be golden-tested and piped back in:
 
     decide FILE [--oracle-check]   reduction trace + verdict (exit 0/1/2)
-    closure FILE                   brute-force closure, as a group file
+    closure FILE                   generators of the closure, as a group file
     zel FILE                       the zel subgroup, as a group file
     orbits FILE                    one orbit per line
     orb2 FILE                      pair-orbit color matrix
@@ -14,6 +14,8 @@ text, so outputs can be golden-tested and piped back in:
 decide exits 0 when the group is 2-closed, 1 when it is not, 2 on any
 error (including an oracle disagreement, which would mean a bug here).
 decide and zel enumerate no group elements, '# order' included.
+closure prints the generators the oracle's search found, not every
+element; only its '# order' line enumerates the closure.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_decide)
 
-    p = sub.add_parser("closure", help="brute-force pair-orbit closure of a group file")
+    p = sub.add_parser("closure", help="generators of the pair-orbit closure of a group file")
     p.add_argument("file")
     p.set_defaults(func=_cmd_closure)
 

@@ -7,8 +7,9 @@
 
 A generator is written in disjoint-cycle notation, a run of (...) groups,
 or as a full image list, one [...] group.  Inside a group, points are
-separated by blanks or by one comma, which may also lead or trail; they
-may carry leading zeros, and () is the identity.  The format round-trips:
+separated by blanks (any Unicode whitespace, as in the header) or by
+one comma, which may also lead or trail; they may carry leading zeros,
+and () is the identity.  The format round-trips:
 parse(serialize(G)) == G.  A degree above MAX_DEGREE is refused before
 anything is allocated, and every malformed file raises ParseError.
 """
@@ -19,8 +20,9 @@ import re
 
 from .perm import PermGroup, Permutation
 
-# blanks, at most one comma, blanks, then the digits of a point (maybe none)
-_POINT = re.compile(r"[ \t]*,?[ \t]*(\d*)")
+# blanks, at most one comma, blanks, then the digits of a point (maybe
+# none); a blank is any Unicode whitespace (\s, str.isspace) on every line
+_POINT = re.compile(r"\s*,?\s*(\d*)")
 
 # Deciding a degree-10^6 group already takes about 30 s and 1 GB (Python
 # 3.11, 2 vCPUs); far larger headers exhaust memory or overflow.
@@ -78,7 +80,7 @@ def serialize_group(group: PermGroup) -> str:
 
 
 def _skip_spaces(line: str, pos: int) -> int:
-    while pos < len(line) and line[pos] in " \t":
+    while pos < len(line) and line[pos].isspace():
         pos += 1
     return pos
 

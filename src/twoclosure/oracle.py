@@ -3,9 +3,13 @@
 The closure of a group G is the set of ALL permutations preserving the
 pair coloring of G; it is the largest group with the same orbits on
 ordered pairs, and G is closed iff it equals its closure.  The search
-assigns images point by point, pruning with per-point color profiles and
-prefix consistency, and is the independent referee for the structural
-decision procedure: exponential, honest, and only viable at small degree.
+finds generators of the closure along the base 0, 1, ..., n-1: for each
+point and each image the generators found so far do not already reach,
+one depth-first search for a single coloring-preserving permutation,
+pruned with per-point color profiles and prefix consistency.  Its cost
+follows the number of images tried, not the order of the closure.  It is
+the independent referee for the structural decision procedure:
+exponential in the worst case, honest, and bounded by SearchLimits.
 """
 
 from __future__ import annotations
@@ -43,15 +47,24 @@ def _check_degree(n: int, limits: SearchLimits) -> None:
         )
 
 
-def color_automorphisms(coloring: PairColoring, limits: SearchLimits = SearchLimits()) -> frozenset[Permutation]:
-    """All permutations preserving the coloring, by depth-first search.
+def color_automorphisms(coloring: PairColoring, limits: SearchLimits = SearchLimits()) -> tuple[Permutation, ...]:
+    """Generators of the group of permutations preserving the coloring.
 
-    Points get their images in ascending order.  A point's candidate
-    images are precomputed from an invariant profile (diagonal color plus
-    the multisets of its row and column colors); a candidate survives only
-    if every pair it forms with the already-assigned prefix keeps its
-    color both ways.  Every candidate tried costs one node against the
-    budget.
+    The base is 0, 1, ..., n-1, and the levels are walked from n-1 down
+    to 0.  On reaching level i, the generators found so far generate the
+    pointwise stabilizer of 0..i.  Each candidate image v of i that their
+    orbit of i does not already hold, and that is not already known to be
+    unreachable, starts a depth-first search for one permutation that
+    fixes 0..i-1 and maps i to v.  The first leaf found becomes a
+    generator; a search without a leaf marks v's orbit unreachable.  The
+    generators then generate the pointwise stabilizer of 0..i-1, so the
+    group's order is the product of the orbit lengths over all levels.
+
+    A point's candidate images are precomputed from an invariant profile
+    (diagonal color plus the multisets of its row and column colors); a
+    candidate survives only if every pair it forms with the points
+    already placed, the fixed prefix included, keeps its color both ways.
+    Every candidate image tried costs one node against the budget.
     """
     n = coloring.degree
     _check_degree(n, limits)
@@ -64,42 +77,92 @@ def color_automorphisms(coloring: PairColoring, limits: SearchLimits = SearchLim
     candidates = [
         tuple(j for j in range(n) if profiles[j] == profiles[i]) for i in range(n)
     ]
-
-    found: list[Permutation] = []
-    image = [0] * n
-    used = [False] * n
     nodes = 0
 
-    def assign(k: int):
+    def tick() -> None:
         nonlocal nodes
-        if k == n:
-            found.append(Permutation(tuple(image)))
-            return
-        row_k = m[k]
-        for v in candidates[k]:
-            if used[v]:
-                continue
-            nodes += 1
-            if nodes > limits.max_nodes:
-                raise BudgetExceeded(
-                    f"search exceeded node budget {limits.max_nodes}"
-                )
-            row_v = m[v]
-            ok = True
-            for t in range(k):
-                it = image[t]
-                if row_k[t] != row_v[it] or m[t][k] != m[it][v]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[k] = v
-            used[v] = True
-            assign(k + 1)
-            used[v] = False
+        nodes += 1
+        if nodes > limits.max_nodes:
+            raise BudgetExceeded(f"search exceeded node budget {limits.max_nodes}")
 
-    assign(0)
-    return frozenset(found)
+    def fits(image: list[int], k: int, v: int) -> bool:
+        row_k, row_v = m[k], m[v]
+        for t in range(k):
+            it = image[t]
+            if row_k[t] != row_v[it] or m[t][k] != m[it][v]:
+                return False
+        return True
+
+    def extend(i: int, v: int) -> Permutation | None:
+        """One permutation fixing 0..i-1, mapping i to v and keeping every
+        color, or None.  Points i+1.. are placed in order; next_index[k]
+        is where point k's scan of its candidates resumes on backtracking.
+        """
+        image = list(range(n))
+        if not fits(image, i, v):
+            return None
+        image[i] = v
+        used = [t < i for t in range(n)]
+        used[v] = True
+        next_index = [0] * n
+        k = i + 1
+        while k > i:
+            if k == n:
+                return Permutation(tuple(image))
+            cands = candidates[k]
+            j = next_index[k]
+            if j:
+                used[image[k]] = False
+            while j < len(cands):
+                w = cands[j]
+                j += 1
+                if used[w]:
+                    continue
+                tick()
+                if fits(image, k, w):
+                    break
+            else:
+                next_index[k] = 0
+                k -= 1
+                continue
+            next_index[k] = j
+            image[k] = w
+            used[w] = True
+            k += 1
+        return None
+
+    gens: list[Permutation] = []
+    for i in reversed(range(n)):
+        reached = {i}
+        unreachable: set[int] = set()
+        for v in candidates[i]:
+            if v < i:
+                continue
+            tick()
+            if v in reached or v in unreachable:
+                continue
+            g = extend(i, v)
+            if g is None:
+                unreachable |= _orbit({v}, gens)
+            else:
+                gens.append(g)
+                reached = _orbit({i}, gens)
+                unreachable = _orbit(unreachable, gens)
+    return tuple(gens)
+
+
+def _orbit(points: set[int], gens: list[Permutation]) -> set[int]:
+    """The union of the orbits of the given points under the generators."""
+    out = set(points)
+    stack = list(points)
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g.images[x]
+            if y not in out:
+                out.add(y)
+                stack.append(y)
+    return out
 
 
 def two_closure(group: PermGroup, limits: SearchLimits = SearchLimits()) -> PermGroup:
@@ -108,10 +171,13 @@ def two_closure(group: PermGroup, limits: SearchLimits = SearchLimits()) -> Perm
     The degree bound is checked before the n x n pair coloring is built.
     """
     _check_degree(group.degree, limits)
-    els = color_automorphisms(orb2(group), limits)
-    return PermGroup.from_elements(group.degree, els)
+    return PermGroup(group.degree, color_automorphisms(orb2(group), limits))
 
 
 def is_2_closed_oracle(group: PermGroup, limits: SearchLimits = SearchLimits()) -> bool:
-    """True iff the group already contains every coloring-preserving permutation."""
-    return two_closure(group, limits).elements() == group.elements()
+    """True iff the group already contains every coloring-preserving permutation.
+
+    G always lies in its closure, so G is closed iff every closure
+    generator lies in G; only G's elements are enumerated.
+    """
+    return two_closure(group, limits).is_subgroup_of(group)

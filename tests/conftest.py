@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -110,6 +111,53 @@ def reference_zel(group):
                 images[x] = cls[f.images[i]]
             gens.append(Permutation(tuple(images)))
     return PermGroup(group.degree, gens)
+
+
+def reference_automorphisms(coloring):
+    """Every permutation preserving the coloring, one search leaf each, as
+    the oracle found them before it searched for generators.  Points get
+    their images in ascending order; a point's candidates share its
+    profile (diagonal color, sorted row and column colors) and must keep
+    the color of every pair with the points placed before it.
+    """
+    n = coloring.degree
+    m = coloring.matrix
+    profiles = [
+        (m[i][i], tuple(sorted(m[i])), tuple(sorted(row[i] for row in m)))
+        for i in range(n)
+    ]
+    candidates = [
+        tuple(j for j in range(n) if profiles[j] == profiles[i]) for i in range(n)
+    ]
+    found = []
+    image = [0] * n
+    used = [False] * n
+
+    def assign(k):
+        if k == n:
+            found.append(Permutation(tuple(image)))
+            return
+        for v in candidates[k]:
+            if used[v] or any(m[k][t] != m[v][image[t]] or m[t][k] != m[image[t]][v]
+                              for t in range(k)):
+                continue
+            image[k] = v
+            used[v] = True
+            assign(k + 1)
+            used[v] = False
+
+    assign(0)
+    return frozenset(found)
+
+
+def stack_depth():
+    """Frames on the interpreter stack, this function's own included."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
 
 
 def witness(group, cls):

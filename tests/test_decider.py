@@ -10,6 +10,7 @@ from conftest import (
     perm_groups,
     random_coupled_blocks,
     reference_decide,
+    stack_depth,
 )
 from twoclosure import decider
 from twoclosure.decider import (
@@ -137,22 +138,13 @@ def test_precondition_rejects_non_cyclic_constituents():
         decide_2_closed(klein)
 
 
-def _stack_depth():
-    depth = 0
-    frame = sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return depth
-
-
 def test_long_chain_does_not_grow_the_stack():
     # one involution swapping 60 pairs: 59 orbit removals, then the base case
     blocks = 60
     swap = cyc(2 * blocks, *((2 * i, 2 * i + 1) for i in range(blocks)))
     g = PermGroup(2 * blocks, [swap])
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 40)
+    sys.setrecursionlimit(stack_depth() + 40)
     try:
         ok, trace = decide_2_closed(g)
     finally:

@@ -190,6 +190,16 @@ def test_blanks_and_one_comma_separate_points():
     assert parse_group("degree 3\ngen [001 0 2]") == parse_group("degree 3\ngen [1,0,2]")
 
 
+# The header and the gen lines share one blank class, Unicode whitespace included.
+@pytest.mark.parametrize("text", [
+    "degree\u00a03\ngen (0 1)",
+    "degree 3\ngen\u00a0(0 1)",
+    "degree 3\ngen (0\u00a01)",
+])
+def test_unicode_blanks_separate_as_ascii_blanks_do(text):
+    assert parse_group(text) == parse_group("degree 3\ngen (0 1)")
+
+
 # int() refuses strings of more than 4300 digits; the parser never hands it one.
 _HUGE_POINT = "degree 3\ngen (0 " + "1" * 5000 + ")"
 _PADDED_IMAGES = "degree 3\ngen [" + "0" * 5000 + "1 0 2]"

@@ -1,11 +1,14 @@
-import pytest
-from hypothesis import given, settings
+import sys
 
-from conftest import abelian_instances, perm_groups
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import abelian_instances, perm_groups, reference_automorphisms, stack_depth
 from twoclosure import oracle
 from twoclosure.cli import main
-from twoclosure.coloring import orb2
-from twoclosure.fixtures import fixture_example1, fixture_example2
+from twoclosure.coloring import PairColoring, orb2, preserves
+from twoclosure.fixtures import fixture_example1, fixture_example2, random_regular_abelian
 from twoclosure.oracle import (
     BudgetExceeded,
     SearchLimits,
@@ -74,7 +77,119 @@ def test_color_automorphisms_of_two_color_square():
     # one diagonal color, one off-diagonal color: everything is allowed
     c = orb2(PermGroup(3, [cyc(3, (0, 1)), cyc(3, (0, 1, 2))]))
     assert c.num_colors == 2
-    assert len(color_automorphisms(c)) == 6
+    assert PermGroup(3, color_automorphisms(c)).order() == 6
+
+
+def assert_generates_reference(c, limits=SearchLimits()):
+    gens = color_automorphisms(c, limits)
+    assert PermGroup(c.degree, gens).elements() == reference_automorphisms(c)
+
+
+@pytest.mark.parametrize("make", [fixture_example1, fixture_example2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_generators_match_reference_on_fixtures(make, p):
+    assert_generates_reference(orb2(make(p)), SearchLimits(max_degree=30))
+
+
+def test_generators_match_reference_on_pools(sweep_pool, coupled_pool):
+    regular = [random_regular_abelian(seed, 12) for seed in range(100)]
+    for g in sweep_pool + coupled_pool + regular:
+        assert_generates_reference(orb2(g))
+
+
+@settings(deadline=None, max_examples=60)
+@given(perm_groups(max_degree=6, max_gens=3))
+def test_generators_match_reference_on_arbitrary_groups(g):
+    assert_generates_reference(orb2(g))
+
+
+def colorings(max_degree=6):
+    """Arbitrary color matrices on a few colors, not only pair-orbit colorings
+    (a color class need not be the transpose of one), and graphs: symmetric
+    matrices with one diagonal color, whose searches backtrack more often."""
+    def coloring(rows, graph):
+        n = len(rows)
+        if graph:
+            rows = [[0 if i == j else rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        return PairColoring(tuple(map(tuple, rows)))
+
+    def matrices(n, colors):
+        row = st.lists(st.integers(0, colors - 1), min_size=n, max_size=n)
+        return st.lists(row, min_size=n, max_size=n)
+
+    return st.tuples(st.integers(0, max_degree), st.integers(1, 3)).flatmap(
+        lambda nc: st.builds(coloring, matrices(*nc), st.booleans())
+    )
+
+
+# a graph on five points whose first-leaf searches must backtrack
+_BACKTRACKING_GRAPH = PairColoring((
+    (0, 1, 1, 0, 1), (1, 0, 1, 1, 0), (1, 1, 0, 0, 1), (0, 1, 0, 0, 1), (1, 0, 1, 1, 0),
+))
+
+
+@settings(deadline=None, max_examples=200)
+@given(colorings())
+@example(_BACKTRACKING_GRAPH)
+def test_generators_match_reference_on_arbitrary_colorings(c):
+    assert_generates_reference(c)
+
+
+def indep(*sizes):
+    """Independent cyclic shifts, one generator per block."""
+    n = sum(sizes)
+    gens, start = [], 0
+    for k in sizes:
+        gens.append(cyc(n, tuple(range(start, start + k))))
+        start += k
+    return PermGroup(n, gens)
+
+
+def base_order(degree, gens):
+    """The product over i of the orbit length of i under the generators that
+    fix 0..i-1.  It never exceeds the order of the group they generate."""
+    order = 1
+    for i in range(degree):
+        fixing = [g for g in gens if all(g.images[t] == t for t in range(i))]
+        orbit, stack = {i}, [i]
+        while stack:
+            x = stack.pop()
+            for g in fixing:
+                if g.images[x] not in orbit:
+                    orbit.add(g.images[x])
+                    stack.append(g.images[x])
+        order *= len(orbit)
+    return order
+
+
+@pytest.mark.parametrize("g, order", [
+    (fixture_example1(11), 11 ** 3),
+    (fixture_example2(7), 7 ** 3),
+    (indep(*(4,) * 8), 4 ** 8),
+], ids=["example1(11)", "example2(7)", "indep 8xZ4"])
+def test_closure_search_stays_within_a_small_node_budget(g, order):
+    # a search that stores every leaf needs 81 928, 37 590 and 611 660 nodes
+    cl = two_closure(g, SearchLimits(max_degree=48, max_nodes=10_000))
+    c = orb2(g)
+    assert all(preserves(c, x) for x in cl.generators)
+    # base_order <= |<generators>| <= |closure| = order: equality shows nothing is missing
+    assert base_order(g.degree, cl.generators) == order
+    # each generator maps its base point out of the orbit of the ones found
+    # before it, so it at least doubles the group they generate
+    assert 2 ** len(cl.generators) <= order
+
+
+def test_long_search_does_not_grow_the_stack():
+    # one involution swapping 30 pairs, degree 60: closed, so the closure has order 2
+    blocks = 30
+    g = PermGroup(2 * blocks, [cyc(2 * blocks, *((2 * i, 2 * i + 1) for i in range(blocks)))])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 40)
+    try:
+        cl = two_closure(g, SearchLimits(max_degree=2 * blocks))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cl.elements() == g.elements()
 
 
 def test_closure_contains_group_and_fixes_coloring():
