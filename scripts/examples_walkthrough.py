@@ -14,7 +14,7 @@ from twoclosure import zel
 from twoclosure.cli import render_step
 from twoclosure.decider import decide_2_closed
 from twoclosure.fixtures import fixture_example1, fixture_example2
-from twoclosure.oracle import MAX_ORACLE_DEGREE, two_closure
+from twoclosure.oracle import MAX_ORACLE_DEGREE, closure_order, two_closure
 
 
 def show(name, group):
@@ -31,7 +31,7 @@ def show(name, group):
     print(f"   verdict: {'2-closed' if closed else 'not 2-closed'}")
     if group.degree <= MAX_ORACLE_DEGREE:
         closure = two_closure(group)
-        print(f"   oracle closure: order {closure.order()}"
+        print(f"   oracle closure: order {closure_order(closure)}"
               f" (equals zel: {closure.elements() == z.elements()})")
     else:
         print("   oracle closure: degree beyond search bound, skipped")

@@ -17,28 +17,8 @@ from .fixtures import (
     random_regular_abelian,
 )
 from .groupfile import InvalidPermutation, ParseError, parse_group, serialize_group
-from .oracle import (
-    BudgetExceeded,
-    SearchLimits,
-    color_automorphisms,
-    is_2_closed_oracle,
-    two_closure,
-)
-from .perm import (
-    CapExceeded,
-    NotBlockSystem,
-    NotInvariant,
-    OrbitPartition,
-    PermGroup,
-    Permutation,
-)
-from .reduction import (
-    NotAnOrbit,
-    NotNilpotent,
-    SylowDecomposition,
-    remove_orbit,
-    sylow_decomposition,
-)
+from .oracle import BudgetExceeded, SearchLimits, closure_order, is_2_closed_oracle, two_closure
+from .perm import CapExceeded, PermGroup, Permutation
 
 __version__ = "0.1.0"
 
@@ -46,12 +26,7 @@ __all__ = [
     "BudgetExceeded",
     "CapExceeded",
     "InvalidPermutation",
-    "NotAnOrbit",
-    "NotBlockSystem",
-    "NotInvariant",
-    "NotNilpotent",
     "NotPrime",
-    "OrbitPartition",
     "PairColoring",
     "ParseError",
     "PermGroup",
@@ -60,8 +35,7 @@ __all__ = [
     "ReductionTrace",
     "SearchLimits",
     "Step",
-    "SylowDecomposition",
-    "color_automorphisms",
+    "closure_order",
     "decide_2_closed",
     "fixture_example1",
     "fixture_example2",
@@ -71,9 +45,7 @@ __all__ = [
     "preserves",
     "random_abelian_cyclic",
     "random_regular_abelian",
-    "remove_orbit",
     "serialize_group",
-    "sylow_decomposition",
     "two_closure",
     "zel",
 ]

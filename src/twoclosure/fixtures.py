@@ -9,12 +9,16 @@ which kills zel entirely and exercises the orbit-removal path instead.
 The random generators produce seeded, reproducible abelian groups with
 cyclic constituents (block shifts) and regular abelian groups (a group
 acting on itself), the two instance classes the validation sweeps need.
+Every builder refuses a degree the parser would refuse to read back.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
+from .groupfile import MAX_DEGREE
 from .perm import PermGroup, Permutation, prime_factors
 
 
@@ -22,18 +26,36 @@ class NotPrime(ValueError):
     pass
 
 
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
+
+
 def _check_prime(p: int) -> None:
     if prime_factors(p) != (p,):
         raise NotPrime(f"{p} is not prime")
 
 
-def _block_shift(degree: int, starts: list[int], size: int, amount: int = 1) -> Permutation:
-    """Shift each listed block of ``size`` consecutive points by ``amount``."""
+def _block_shift(degree: int, shifts: list[tuple[int, int, int]]) -> Permutation:
+    """Shift each block of ``size`` consecutive points from ``start`` by
+    ``amount``, for every (start, size, amount) in ``shifts``."""
     images = list(range(degree))
-    for s in starts:
+    for start, size, amount in shifts:
         for i in range(size):
-            images[s + i] = s + (i + amount) % size
+            images[start + i] = start + (i + amount) % size
     return Permutation(tuple(images))
+
+
+def _glued_examples(p: int, copies: int) -> PermGroup:
+    """``copies`` copies of three blocks of size p, glued diagonally: in
+    every copy, generator a shifts blocks 1 and 3, generator b blocks 2 and 3."""
+    degree = 3 * p * copies
+    _check_degree(degree)
+    _check_prime(p)
+    return PermGroup(degree, [
+        _block_shift(degree, [(3 * p * c + k * p, p, 1) for c in range(copies) for k in blocks])
+        for blocks in ((0, 2), (1, 2))
+    ])
 
 
 def fixture_example1(p: int) -> PermGroup:
@@ -44,10 +66,7 @@ def fixture_example1(p: int) -> PermGroup:
     different subgroups of order p, which is exactly the configuration
     that makes zel strictly larger than the group.
     """
-    _check_prime(p)
-    a = _block_shift(3 * p, [0, 2 * p], p)
-    b = _block_shift(3 * p, [p, 2 * p], p)
-    return PermGroup(3 * p, [a, b])
+    return _glued_examples(p, 1)
 
 
 def fixture_example2(p: int) -> PermGroup:
@@ -57,13 +76,7 @@ def fixture_example2(p: int) -> PermGroup:
     so each orbit has a twin whose pointwise stabilizer does nothing on
     it; zel collapses to the trivial group.
     """
-    _check_prime(p)
-    base = fixture_example1(p)
-    gens = []
-    for g in base.generators:
-        images = list(g.images) + [3 * p + v for v in g.images]
-        gens.append(Permutation(tuple(images)))
-    return PermGroup(6 * p, gens)
+    return _glued_examples(p, 2)
 
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
@@ -78,6 +91,7 @@ def random_abelian_cyclic(seed: int, max_degree: int) -> PermGroup:
     amount so that a block splits into several orbits.  Everything is a
     product of block shifts, hence abelian with cyclic constituents.
     """
+    _check_degree(max_degree)
     rng = random.Random(seed)
     if max_degree <= 0:
         return PermGroup(0)
@@ -98,11 +112,8 @@ def random_abelian_cyclic(seed: int, max_degree: int) -> PermGroup:
     if not sizes:
         sizes = [1]
 
-    starts = []
-    total = 0
-    for q in sizes:
-        starts.append(total)
-        total += q
+    starts = list(itertools.accumulate(sizes, initial=0))
+    total = starts.pop()
 
     blocks = [(s, q) for s, q in zip(starts, sizes) if q > 1]
     gens = []
@@ -110,23 +121,22 @@ def random_abelian_cyclic(seed: int, max_degree: int) -> PermGroup:
         chosen = [b for b in blocks if rng.random() < 0.6]
         if not chosen and blocks:
             chosen = [rng.choice(blocks)]
-        images = list(range(total))
-        for s, q in chosen:
-            amount = 1 if rng.random() < 0.6 else rng.randrange(1, q)
-            for i in range(q):
-                images[s + i] = s + (i + amount) % q
-        gens.append(Permutation(tuple(images)))
+        gens.append(_block_shift(total, [
+            (s, q, 1 if rng.random() < 0.6 else rng.randrange(1, q)) for s, q in chosen
+        ]))
     return PermGroup(total, gens)
 
 
 def random_regular_abelian(seed: int, max_degree: int) -> PermGroup:
     """A seeded abelian group acting on itself by translations, degree <= max_degree.
 
-    The group is a random product of cyclic factors; points are the
-    mixed-radix digit strings over the factor sizes, and each generator
-    adds 1 in one coordinate.  The action is transitive with order equal
-    to the degree.
+    The group is a random product of cyclic factors Z_m; points are the
+    mixed-radix numbers over the factor sizes, and each generator adds 1
+    to one digit, of weight w: it maps x to x + w, or to x - (m-1)·w
+    where the digit wraps round.  The action is transitive with order
+    equal to the degree.
     """
+    _check_degree(max_degree)
     rng = random.Random(seed)
     if max_degree < 2:
         raise ValueError("need max_degree >= 2 for a nontrivial regular action")
@@ -141,28 +151,8 @@ def random_regular_abelian(seed: int, max_degree: int) -> PermGroup:
         if rng.random() < 0.4:
             break
 
-    weights = []
-    w = 1
-    for m in reversed(factors):
-        weights.append(w)
-        w *= m
-    weights.reverse()  # weights[i] multiplies digit i
-
-    def encode(digits):
-        return sum(d * w for d, w in zip(digits, weights))
-
-    def decode(x):
-        digits = []
-        for m, w in zip(factors, weights):
-            digits.append((x // w) % m)
-        return digits
-
-    gens = []
-    for i, m in enumerate(factors):
-        images = []
-        for x in range(n):
-            digits = decode(x)
-            digits[i] = (digits[i] + 1) % m
-            images.append(encode(digits))
-        gens.append(Permutation(tuple(images)))
-    return PermGroup(n, gens)
+    weights = [math.prod(factors[i + 1:]) for i in range(len(factors))]  # weights[i] multiplies digit i
+    return PermGroup(n, [
+        Permutation(tuple(x + w if x // w % m < m - 1 else x - (m - 1) * w for x in range(n)))
+        for m, w in zip(factors, weights)
+    ])

@@ -174,6 +174,21 @@ def two_closure(group: PermGroup, limits: SearchLimits = SearchLimits()) -> Perm
     return PermGroup(group.degree, color_automorphisms(orb2(group), limits))
 
 
+def closure_order(closure: PermGroup) -> int:
+    """|closure| for ``two_closure``'s output, without enumerating it.
+
+    Its generators that fix 0..i-1 generate the pointwise stabilizer of
+    0..i-1, a strong generating set for the base 0..n-1, so the order is
+    the product of the basic orbit lengths (Seress, 2003).
+    """
+    order = 1
+    stabilizer = closure.generators
+    for i in range(closure.degree):
+        order *= len(_orbit({i}, stabilizer))
+        stabilizer = [g for g in stabilizer if g.images[i] == i]
+    return order
+
+
 def is_2_closed_oracle(group: PermGroup, limits: SearchLimits = SearchLimits()) -> bool:
     """True iff the group already contains every coloring-preserving permutation.
 

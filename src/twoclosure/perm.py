@@ -1,6 +1,6 @@
 """Permutations and finitely generated permutation groups.
 
-Group-level queries (order, membership, stabilizers, subgroup tests,
+Group-level queries (order, stabilizers, subgroup tests,
 constituent checks) work by exact enumeration, filtering the full element
 set instead of using stabilizer chains.  The decider does not call them:
 it works on cyclic coordinates.  The enumeration serves the brute-force
@@ -275,9 +275,6 @@ class PermGroup:
 
     def is_trivial(self) -> bool:
         return not self.generators
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self.elements()
 
     def orbits(self) -> OrbitPartition:
         """The orbit partition of the point set, classes ordered by minimal point."""

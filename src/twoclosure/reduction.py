@@ -12,7 +12,6 @@ importable from here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .decider import zel  # noqa: F401  (re-exported)
 from .perm import PermGroup, prime_factors
@@ -26,23 +25,8 @@ class NotAnOrbit(ValueError):
     """The given point set is not an orbit of the group."""
 
 
-@dataclass(frozen=True)
-class SylowDecomposition:
-    """The Sylow p-subgroups of an abelian group, each acting on the full point set.
-
-    ``parts`` is ordered by prime.  The parts intersect trivially, commute,
-    and their internal product is the whole group, so orders multiply.
-    """
-
-    degree: int
-    parts: tuple[tuple[int, PermGroup], ...]
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.parts)
-
-
-def sylow_decomposition(group: PermGroup) -> SylowDecomposition:
-    """Split an abelian group into its Sylow p-subgroups.
+def sylow_decomposition(group: PermGroup) -> tuple[tuple[int, PermGroup], ...]:
+    """The Sylow p-subgroups of an abelian group, as (p, part) pairs ordered by p.
 
     For each prime p dividing the order, the part is generated by the
     p-parts g^m of the generators g, where m is the order of g with every
@@ -50,7 +34,9 @@ def sylow_decomposition(group: PermGroup) -> SylowDecomposition:
     group onto its Sylow p-subgroup, so the generators' p-parts generate
     it.  The primes are read off the exponent, the lcm of the generators'
     orders, which in an abelian group has the prime divisors of the
-    order.  A trivial group decomposes into zero parts.
+    order.  Each part acts on the full point set; the parts intersect
+    trivially, commute, and their internal product is the whole group, so
+    orders multiply.  A trivial group decomposes into zero parts.
     """
     if not group.is_abelian():
         raise NotNilpotent("input is not abelian; cannot split into commuting p-parts")
@@ -63,7 +49,7 @@ def sylow_decomposition(group: PermGroup) -> SylowDecomposition:
                 m //= p
             gens.append(g ** m)
         parts.append((p, PermGroup(group.degree, gens)))
-    return SylowDecomposition(group.degree, tuple(parts))
+    return tuple(parts)
 
 
 def remove_orbit(group: PermGroup, orbit) -> PermGroup:

@@ -179,8 +179,8 @@ def reference_decide(group):
     parts = (group,)
     if not group.is_transitive() and len(prime_factors(order)) != 1:
         decomposition = sylow_decomposition(group)
-        steps.append(Step(SYLOW_SPLIT, group.degree, order, decomposition.primes()))
-        parts = tuple(part for _, part in decomposition.parts)
+        steps.append(Step(SYLOW_SPLIT, group.degree, order, tuple(p for p, _ in decomposition)))
+        parts = tuple(part for _, part in decomposition)
     for g in parts:
         while not g.is_transitive():
             order = g.order()

@@ -110,7 +110,7 @@ def test_criterion_5_closure_splits_over_sylow_parts():
         if len(prime_factors(g.order())) < 2:
             continue
         checked += 1
-        parts = [part for _, part in sylow_decomposition(g).parts]
+        parts = [part for _, part in sylow_decomposition(g)]
         product = _internal_product(g.degree, [two_closure(p) for p in parts])
         ok = ok and product == two_closure(g).elements()
     ok = ok and checked >= 50
@@ -124,7 +124,7 @@ def test_criterion_6_sylow_part_orbit_sizes():
         g = random_regular_abelian(seed, 12)
         checked += 1
         n = g.degree
-        for p, part in sylow_decomposition(g).parts:
+        for p, part in sylow_decomposition(g):
             n_p = 1
             while n % (n_p * p) == 0:
                 n_p *= p

@@ -12,6 +12,7 @@ from twoclosure.coloring import orb2
 from twoclosure.decider import zel
 from twoclosure.fixtures import fixture_example1, random_abelian_cyclic
 from twoclosure.groupfile import parse_group, serialize_group
+from twoclosure.perm import PermGroup
 
 
 def run(capsys, *argv):
@@ -99,6 +100,19 @@ def test_closure_output_is_a_group_file(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "# order 8"
     assert parse_group(out).order() == 8
+
+
+def test_closure_order_without_enumeration(tmp_path, capsys, monkeypatch):
+    # |Sym(10)| = 3628800 is above the element cap: the order must come
+    # from the search's generators, not from listing the closure
+    def no_enumeration(self):
+        raise AssertionError("closure elements enumerated")
+
+    monkeypatch.setattr(PermGroup, "elements", no_enumeration)
+    path = write_group(tmp_path, "sym10.grp", "degree 10\ngen (0 1)\ngen (0 1 2 3 4 5 6 7 8 9)\n")
+    code, out, _ = run(capsys, "closure", path)
+    assert code == 0
+    assert out.splitlines()[:2] == ["# order 3628800", "degree 10"]
 
 
 def test_zel_output_matches_library(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from twoclosure.fixtures import (
     random_abelian_cyclic,
     random_regular_abelian,
 )
+from twoclosure.groupfile import MAX_DEGREE
 from twoclosure.perm import PermGroup
 from twoclosure.reduction import zel
 
@@ -72,6 +75,20 @@ def test_fixtures_reject_non_primes(bad):
         fixture_example1(bad)
     with pytest.raises(NotPrime):
         fixture_example2(bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fixture_example1(10**18 + 9),
+    lambda: fixture_example2(10**18 + 9),
+    lambda: random_abelian_cyclic(0, MAX_DEGREE + 1),
+    lambda: random_regular_abelian(0, MAX_DEGREE + 1),
+], ids=["example1", "example2", "random", "regular"])
+def test_degree_above_the_limit_is_refused_at_once(build):
+    # for the examples, trial division would first run up to about 10^9
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the limit 1000000"):
+        build()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_random_abelian_cyclic_is_deterministic():

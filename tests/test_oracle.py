@@ -1,3 +1,4 @@
+import math
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from twoclosure.fixtures import fixture_example1, fixture_example2, random_regul
 from twoclosure.oracle import (
     BudgetExceeded,
     SearchLimits,
+    closure_order,
     color_automorphisms,
     is_2_closed_oracle,
     two_closure,
@@ -220,3 +222,23 @@ def test_closure_of_abelian_group_is_quasiregular(g):
     cl = two_closure(g)
     for cls in cl.orbits().classes:
         assert cl.restriction(cls).order() == len(cls)
+
+
+def test_closure_order_matches_enumeration_on_pools(sweep_pool, coupled_pool):
+    for g in sweep_pool + coupled_pool:
+        cl = two_closure(g)
+        assert closure_order(cl) == cl.order()
+
+
+@settings(deadline=None, max_examples=60)
+@given(perm_groups(max_degree=6, max_gens=3))
+def test_closure_order_matches_enumeration_on_arbitrary_groups(g):
+    cl = two_closure(g)
+    assert closure_order(cl) == cl.order()
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+def test_closure_order_of_symmetric_groups(n):
+    # a transposition and an n-cycle generate Sym(n), which is 2-closed
+    g = PermGroup(n, [cyc(n, (0, 1)), cyc(n, tuple(range(n)))])
+    assert closure_order(two_closure(g)) == math.factorial(n)
