@@ -155,8 +155,12 @@ def test_long_chain_does_not_grow_the_stack():
 
 
 def test_step_rejects_unknown_kinds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown step kind 'Nonsense'"):
         Step("Nonsense", 3, 1)
+    with pytest.raises(ValueError):
+        Step(kind="Nonsense", degree=3, order=1, detail=(1,))
+    for kind in decider.STEP_KINDS:
+        assert Step(kind, 3, 1).kind == kind
 
 
 def test_oracle_check_reports():
