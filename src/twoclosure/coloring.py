@@ -9,16 +9,16 @@ so two colorings describe the same partition iff their matrices are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .perm import Permutation, PermGroup
+from .perm import Frozen, Permutation, PermGroup
 
 
-@dataclass(frozen=True)
-class PairColoring:
+class PairColoring(Frozen):
     """An n x n matrix of color ids; cell (i, j) colors the ordered pair (i, j)."""
 
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def degree(self) -> int:

@@ -41,7 +41,7 @@ orbits and sizes as the group they describe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .perm import PermGroup, Permutation, prime_factors
 
@@ -61,27 +61,31 @@ class PreconditionFailed(ValueError):
     """The input has a non-cyclic transitive constituent."""
 
 
-@dataclass(frozen=True)
-class Step:
-    """One move of the procedure, with the degree and order of the group it saw.
-
-    ``detail`` depends on the kind: the prime list for SylowSplit, the
-    orbit sizes of zel(G) for ZelReduce, the removed orbit's points for
-    OrbitRemoval, empty otherwise.
-    """
-
+class _StepFields(NamedTuple):
     kind: str
     degree: int
     order: int
     detail: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.kind not in STEP_KINDS:
-            raise ValueError(f"unknown step kind {self.kind!r}")
+
+class Step(_StepFields):
+    """One move of the procedure, with the degree and order of the group it saw.
+
+    ``detail`` depends on the kind: the prime list for SylowSplit, the
+    orbit sizes of zel(G) for ZelReduce, the removed orbit's points for
+    OrbitRemoval, empty otherwise.  A kind outside STEP_KINDS raises
+    ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, degree: int, order: int, detail: tuple[int, ...] = ()):
+        if kind not in STEP_KINDS:
+            raise ValueError(f"unknown step kind {kind!r}")
+        return tuple.__new__(cls, (kind, degree, order, detail))
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     steps: tuple[Step, ...]
     verdict: bool
 

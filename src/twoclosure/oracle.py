@@ -14,7 +14,7 @@ exponential in the worst case, honest, and bounded by SearchLimits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import PairColoring, orb2
 from .perm import PermGroup, Permutation
@@ -27,8 +27,7 @@ class BudgetExceeded(Exception):
     """The search outgrew its limits; no verdict was reached."""
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(NamedTuple):
     """Hard bounds on the closure search.
 
     max_degree caps the point count up front; max_nodes caps the number of

@@ -11,7 +11,6 @@ oracle and the tests' reference procedures, and the element cap
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 DEFAULT_CAP = 1_000_000
@@ -51,24 +50,78 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
+class Frozen:
+    """Base of the slotted value types: a record of the fields in its
+    subclass's ``__slots__``, set once in ``__init__`` through
+    ``object.__setattr__``.  Values compare, hash, print and pickle by
+    their fields; assigning or deleting a field raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Permutation(Frozen):
     """A bijection of {0..n-1}; ``images[i]`` is where point ``i`` goes.
 
     Composition is "left first": ``(p * q)(i) == q(p(i))``, matching the
     exponent convention on points, ``i^(pq) = (i^p)^q``.  This is the one
-    global convention.
+    global convention.  Permutations order by ``images``.
     """
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
         seen = [False] * n
-        for v in self.images:
+        for v in images:
             if not 0 <= v < n or seen[v]:
-                raise ValueError(f"not a bijection of 0..{n - 1}: {self.images!r}")
+                raise ValueError(f"not a bijection of 0..{n - 1}: {images!r}")
             seen[v] = True
+        object.__setattr__(self, "images", images)
+
+    # equality, hashing and order by images directly: sets of permutations
+    # hash and compare them in the inner loops
+    def __eq__(self, other):
+        return self.images == other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.images)
+
+    def __lt__(self, other):
+        return self.images < other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.images <= other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.images > other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.images >= other.images if other.__class__ is self.__class__ else NotImplemented
 
     @staticmethod
     def identity(degree: int) -> Permutation:
@@ -155,16 +208,18 @@ class Permutation:
         return f"Permutation({self.images!r})"
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(Frozen):
     """The orbits of a group as a partition of {0..n-1}.
 
     Classes are sorted internally and listed in order of their minimal
     point, so partitions compare and render deterministically.
     """
 
-    classes: tuple[tuple[int, ...], ...]
-    point_to_class: tuple[int, ...]
+    __slots__ = ("classes", "point_to_class")
+
+    def __init__(self, classes: tuple[tuple[int, ...], ...], point_to_class: tuple[int, ...]):
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "point_to_class", point_to_class)
 
     def __len__(self) -> int:
         return len(self.classes)
