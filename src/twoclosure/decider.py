@@ -239,7 +239,9 @@ def _index(a: _Orbit, b: _Orbit) -> int:
         if not (s or t):
             continue
         g, u, w = _xgcd(y, t)
-        h = _xgcd(h, ((t // g) * x - (y // g) * s) % h)[0]
+        h = math.gcd(h, ((t // g) * x - (y // g) * s) % h)
+        if h == 1:  # a gcd chain that reaches 1 stays there
+            return 1
         x, y = (u * x + w * s) % a.size, g
     return h
 
@@ -273,10 +275,20 @@ def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
     degree = sum(o.size for o in orbits)
     while len(orbits) > 1:
         k = len(orbits)
-        witness = [
-            next((j for j in range(k - 1, -1, -1) if j != i and _index(o, orbits[j]) == o.size), -1)
-            for i, o in enumerate(orbits)
-        ]
+        # witness[i]: the last witness of orbit i, or -1; indices[i]: the
+        # _index values of the orbits above it, from the top down
+        witness, indices = [], []
+        for i, o in enumerate(orbits):
+            w, seen = -1, []
+            for j in range(k - 1, -1, -1):
+                if j != i:
+                    h = _index(o, orbits[j])
+                    if h == o.size:
+                        w = j
+                        break
+                    seen.append(h)
+            witness.append(w)
+            indices.append(seen)
         lowest = witness[:]
         for i in range(k - 2, -1, -1):  # lowest[i] = min(witness[i:])
             lowest[i] = min(lowest[i], lowest[i + 1])
@@ -302,12 +314,14 @@ def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
         if lo == k - 1:
             orbits = orbits[lo:]
             break
-        orbits, witness = orbits[lo:], witness[lo:]
-        # the index f_D of the zel factor on each orbit D left
+        # the index f_D of the zel factor on each orbit D left: without a
+        # witness left, the lcm over the k - lo - 1 other orbits left, the
+        # first values of its scan
         zel = [
-            o.size if w >= lo else _zel_index(orbits, i)
-            for i, (o, w) in enumerate(zip(orbits, witness))
+            o.size if w >= lo else math.lcm(*seen[:k - lo - 1])
+            for o, w, seen in zip(orbits[lo:], witness[lo:], indices[lo:])
         ]
+        orbits = orbits[lo:]
         sizes = [o.size for o in orbits]
         if _order(orbits, tuple({i: f} for i, f in enumerate(zel) if f < sizes[i])) != order:
             steps.append(Step(ZEL_NOT_INSIDE, degree, order))
