@@ -288,7 +288,7 @@ def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
                         break
                     seen.append(h)
             witness.append(w)
-            indices.append(seen)
+            indices.append(seen or ())  # no empty list kept per orbit
         lowest = witness[:]
         for i in range(k - 2, -1, -1):  # lowest[i] = min(witness[i:])
             lowest[i] = min(lowest[i], lowest[i + 1])

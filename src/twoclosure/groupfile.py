@@ -24,8 +24,10 @@ from .perm import PermGroup, Permutation
 # none); a blank is any Unicode whitespace (\s, str.isspace) on every line
 _POINT = re.compile(r"\s*,?\s*(\d*)")
 
-# Deciding a degree-10^6 group already takes about 30 s and 1 GB (Python
-# 3.11, 2 vCPUs); far larger headers exhaust memory or overflow.
+# At degree 10^6, diag Z2 on 500 000 blocks parses in 4 s and decides in
+# 13 s, with 410 MB max RSS for the whole process, text generation
+# included (Python 3.11, 2 shared vCPUs); far larger headers exhaust
+# memory or overflow.
 MAX_DEGREE = 1_000_000
 
 
