@@ -59,23 +59,23 @@ class Frozen:
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
+    def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._values())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), self._values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
