@@ -84,6 +84,10 @@ class Step(_StepFields):
             raise ValueError(f"unknown step kind {kind!r}")
         return tuple.__new__(cls, (kind, degree, order, detail))
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: keep the check
+        return cls(*iterable)
+
 
 class ReductionTrace(NamedTuple):
     steps: tuple[Step, ...]

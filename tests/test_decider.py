@@ -159,6 +159,8 @@ def test_step_rejects_unknown_kinds():
         Step("Nonsense", 3, 1)
     with pytest.raises(ValueError):
         Step(kind="Nonsense", degree=3, order=1, detail=(1,))
+    with pytest.raises(ValueError):
+        Step("Validate", 3, 1)._replace(kind="Nonsense")
     for kind in decider.STEP_KINDS:
         assert Step(kind, 3, 1).kind == kind
 
