@@ -35,12 +35,18 @@ each step of the chain is integer arithmetic on those vectors:
                leaves no element that fixes every other orbit
 
 Point labels are kept per coordinate, so the steps report the same
-orbits and sizes as the group they describe.
+orbits and sizes as the group they describe.  Each orbit is walked once,
+along a generator (or product of generator powers) that runs through
+it, and the witness scan pairs only orbits that share a generator, so
+the cost is about linear in the degree and the number of nonzero shifts.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import accumulate, compress
+from operator import ne, or_
 from typing import NamedTuple
 
 from .perm import PermGroup, Permutation, prime_factors
@@ -128,71 +134,118 @@ def _p_part(n: int, p: int) -> int:
     return pa
 
 
+@lru_cache(maxsize=None)
+def _prime_parts(q: int) -> tuple[tuple[int, int], ...]:
+    """(p, p^a) for each prime p dividing q, p^a the p-part of q."""
+    return tuple((p, _p_part(q, p)) for p in prime_factors(q))
+
+
 def _coordinates(group: PermGroup) -> list[_Orbit]:
     """The orbits in coordinates, in order of minimal point.
 
     The constituent generator c on an orbit is the product, over the
-    primes p dividing the orbit size, of the p-part of a restricted
-    generator whose cycles carry the full p-part p^a of the size.  The
-    constituent is cyclic exactly when the powers of c reach the whole
-    orbit from its minimal point and every generator shifts them;
-    otherwise PreconditionFailed is raised.  (A cyclic constituent is
-    regular, so all cycles of a generator on the orbit have one length.)
+    primes p dividing the orbit size q, of the p-part of the first
+    generator whose cycle through the minimal point carries the full
+    p-part p^a of q.  The orbit is walked once, along a generator that
+    acts on it as a q-cycle (or, if none does, along c built from its
+    cycles); the constituent is cyclic exactly when every generator
+    moving the orbit shifts that walk, and then c shifts it by a unit s,
+    so c's coordinates are the walk's divided by s.  Otherwise
+    PreconditionFailed is raised.
     """
-    gens = [g.images for g in group.generators]
-    coord = [0] * group.degree
+    n, gens = group.degree, [g.images for g in group.generators]
+    part = group.orbits()
+    # first[d]: the first generator that moves a point of orbit d, or -1;
+    # more[d]: all that do, in order, where there are several (the other
+    # generators fix d pointwise)
+    first, more = [-1] * len(part.classes), {}
+    orbit_of = part.point_to_class.__getitem__
+    for h, images in enumerate(gens):
+        for d in set(map(orbit_of, compress(range(n), map(ne, images, range(n))))):
+            if first[d] < 0:
+                first[d] = h
+            else:
+                more.setdefault(d, [first[d]]).append(h)
     orbits = []
-    for cls in group.orbits().classes:
-        q, base = len(cls), cls[0]
-        c = {x: x for x in cls}
-        for p in prime_factors(q):
-            pa = _p_part(q, p)
-            for images in gens:
-                cycles, seen = [], set()
-                for x in cls:
-                    if x not in seen:
-                        cycle = [x]
-                        while images[cycle[-1]] != x:
-                            cycle.append(images[cycle[-1]])
-                        seen.update(cycle)
-                        cycles.append(cycle)
-                if len(cycles[0]) % pa == 0:
-                    e = len(cycles[0]) // pa
-                    power = {x: cycle[(j + e) % len(cycle)] for cycle in cycles for j, x in enumerate(cycle)}
-                    c = {x: power[y] for x, y in c.items()}
+    for d, cls in enumerate(part.classes):
+        q, base, shifts = len(cls), cls[0], [0] * len(gens)
+        sup = more.get(d) or ([first[d]] if first[d] >= 0 else [])
+        for h in sup:
+            images, walk = gens[h], [base]
+            x = images[base]
+            while x != base:
+                walk.append(x)
+                x = images[x]
+            if len(walk) == q:
+                shifts[h] = 1
+                break
+        else:
+            walk = _product_walk(cls, gens, sup) if sup else [base]
+        for h in sup:
+            if not shifts[h]:
+                images = gens[h]
+                v = shifts[h] = walk.index(images[base]) if len(walk) == q else 0
+                if not v or [images[x] for x in walk] != walk[v:] + walk[:v]:
+                    raise PreconditionFailed(f"the constituent on the orbit of {base} is not cyclic")
+        s = 0
+        for p, pa in _prime_parts(q):
+            for h in sup:
+                length = q // math.gcd(shifts[h], q)
+                if length % pa == 0:
+                    s += shifts[h] * (length // pa)
                     break
-        points = [base]
-        while c[points[-1]] != base:
-            points.append(c[points[-1]])
-        for i, x in enumerate(points):
-            coord[x] = i
-        shifts = [coord[images[base]] for images in gens]
-        if len(points) != q or any(
-            [images[x] for x in points] != points[v:] + points[:v]
-            for images, v in zip(gens, shifts)
-        ):
-            raise PreconditionFailed(f"the constituent on the orbit of {base} is not cyclic")
-        orbits.append(_Orbit(q, points, shifts))
+        if q > 1 and s % q != 1:
+            unit = pow(s, -1, q)
+            walk = [walk[s * i % q] for i in range(q)]
+            shifts = [v * unit % q for v in shifts]
+        orbits.append(_Orbit(q, tuple(walk), tuple(shifts)))
     return orbits
+
+
+def _product_walk(cls: tuple[int, ...], gens: list[tuple[int, ...]], sup: list[int]) -> list[int]:
+    """The walk from min(cls) of the constituent generator c, built from
+    the cycles on cls of the generators it takes a power of."""
+    q, c = len(cls), {x: x for x in cls}
+    for p, pa in _prime_parts(q):
+        for h in sup:
+            images, power = gens[h], {}
+            for x in cls:
+                if x not in power:
+                    cycle = [x]
+                    while images[cycle[-1]] != x:
+                        cycle.append(images[cycle[-1]])
+                    if not power:
+                        e = len(cycle) // pa
+                        if len(cycle) % pa:
+                            break
+                    power.update((y, cycle[(j + e) % len(cycle)]) for j, y in enumerate(cycle))
+            else:
+                c = {x: power[y] for x, y in c.items()}
+                break
+    walk = [cls[0]]
+    while c[walk[-1]] != cls[0]:
+        walk.append(c[walk[-1]])
+    return walk
 
 
 def _order(orbits: list[_Orbit], extra: tuple[dict[int, int], ...] = ()) -> int:
     """Order of the group spanned by the shift vectors and the extra rows.
 
-    Rows are sparse, column -> nonzero residue.  Column by column, an
-    extended gcd folds every row with an entry there, and the vector
-    |D_j| e_j, into one pivot row; the order is prod |D_j| / pivot_j.
+    Rows are sparse, column -> nonzero residue, and wait in a bucket for
+    their first column.  Column by column, an extended gcd folds the rows
+    of that bucket, and the vector |D_j| e_j, into one pivot row; what a
+    row leaves over goes to the bucket of its next column.  The order is
+    prod |D_j| / pivot_j.
     """
     sizes = [o.size for o in orbits]
-    rows = [{j: v for j, v in enumerate(vec) if v} for vec in zip(*(o.shifts for o in orbits))]
-    rows += extra
+    waiting: dict[int, list[dict[int, int]]] = {}
+    for row in (*(dict(compress(enumerate(v), v)) for v in zip(*(o.shifts for o in orbits))), *extra):
+        if row:
+            waiting.setdefault(min(row), []).append(row)
     order = 1
     for j, q in enumerate(sizes):
-        pivot, rest = {j: q}, []
-        for row in rows:
-            if j not in row:
-                rest.append(row)
-                continue
+        pivot = {j: q}
+        for row in waiting.pop(j, ()):
             g, s, t = _xgcd(pivot[j], row[j])
             a, b = row[j] // g, pivot[j] // g
             combined, killed = {j: g}, {}
@@ -205,9 +258,8 @@ def _order(orbits: list[_Orbit], extra: tuple[dict[int, int], ...] = ()) -> int:
                         killed[col] = (a * x - b * y) % m
             pivot = combined
             if killed:
-                rest.append(killed)
+                waiting.setdefault(min(killed), []).append(killed)
         order = order * q // pivot[j]
-        rows = rest
     return order
 
 
@@ -234,14 +286,12 @@ def _sylow_part(orbits: list[_Orbit], p: int) -> list[_Orbit]:
 def _index(a: _Orbit, b: _Orbit) -> int:
     """Index in Z_|a| of the shifts on a of the elements that fix b pointwise.
 
-    A two-column echelon over the generators: (x, y) is the pivot row on
-    b's column, and h generates the first coordinates of the lattice
-    vectors whose b-coordinate is zero.
+    A two-column echelon over the generators that move a or b: (x, y) is
+    the pivot row on b's column, and h generates the first coordinates of
+    the lattice vectors whose b-coordinate is zero.
     """
     h, x, y = a.size, 0, b.size
-    for s, t in zip(a.shifts, b.shifts):
-        if not (s or t):
-            continue
+    for s, t in compress(zip(a.shifts, b.shifts), map(or_, a.shifts, b.shifts)):
         g, u, w = _xgcd(y, t)
         h = math.gcd(h, ((t // g) * x - (y // g) * s) % h)
         if h == 1:  # a gcd chain that reaches 1 stays there
@@ -270,60 +320,84 @@ def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
     fixing D' pointwise also fix D.  Orbit removal leaves every witness a
     witness and removes orbits in order of minimal point, so the last
     witness of each orbit, found once, says for how long its zel factor
-    stays trivial.  Labels are relabelled only at ZelReduce; in between,
-    a point's label is its label at the last relabelling minus the number
-    of removed points below it (kept in a Fenwick tree).
+    stays trivial.  Only an orbit D' that shares a generator with D can
+    be a witness or add to f_D (otherwise _index is 1), so the scan
+    walks, from the top down, the orbits moved by D's generators; a fixed
+    point's witness is the top other orbit.  Labels are relabelled only
+    at ZelReduce; in between, a point's label is its label at the last
+    relabelling minus the number of removed points below it.  Those are
+    counted in O(log n): a bytearray marks removed labels and is counted
+    inside a block of 128 labels, and a Fenwick tree sums the counts of
+    the blocks below.
 
     Returns False when the chain ends in ZelNotInside.
     """
     degree = sum(o.size for o in orbits)
     while len(orbits) > 1:
         k = len(orbits)
-        # witness[i]: the last witness of orbit i, or -1; indices[i]: the
-        # _index values of the orbits above it, from the top down
-        witness, indices = [], []
+        # movers[h]: the orbits generator h moves, ascending
+        movers = [list(compress(range(k), column)) for column in zip(*(o.shifts for o in orbits))]
+        # witness[i]: the last witness of orbit i, or -1; found[i]: the
+        # (j, _index) pairs of index above 1 met on the way down to it
+        witness, found = [], []
         for i, o in enumerate(orbits):
-            w, seen = -1, []
-            for j in range(k - 1, -1, -1):
-                if j != i:
-                    h = _index(o, orbits[j])
+            w, pairs = -1, []
+            if o.size == 1:
+                w = k - 1 if i < k - 1 else k - 2
+            else:
+                sup = list(compress(range(len(o.shifts)), o.shifts))
+                if len(sup) == 1:
+                    below = reversed(movers[sup[0]])
+                else:  # imported here, so that inputs without shared generators skip it
+                    from heapq import merge
+                    below = merge(*(reversed(movers[h]) for h in sup), reverse=True)
+                last = i
+                for j in below:
+                    if j == last or j == i:
+                        continue
+                    last, h = j, _index(o, orbits[j])
                     if h == o.size:
                         w = j
                         break
-                    seen.append(h)
+                    if h > 1:
+                        pairs.append((j, h))
             witness.append(w)
-            indices.append(seen or ())  # no empty list kept per orbit
-        lowest = witness[:]
-        for i in range(k - 2, -1, -1):  # lowest[i] = min(witness[i:])
-            lowest[i] = min(lowest[i], lowest[i + 1])
-        below = [0] * (degree + 1)
-        lo = 0
+            found.append(pairs or ())  # no empty list kept per orbit
+        lowest = list(accumulate(reversed(witness), min))[::-1]  # lowest[i] = min(witness[i:])
+        # The minimal point of orbit lo is the least label left, so its new
+        # label is 0 and the labels below it are those of the lo orbits
+        # removed before.  So only the other points of removed orbits are
+        # marked; a point's new label is its label minus lo and the marks
+        # below it.  The points of orbit lo are marked as they are counted,
+        # in ascending order, so the n-th finds n - 1 of its own marked.
+        marked, tree = bytearray(degree), [0] * ((degree >> 7) + 2)
+        top, lo = len(tree), 0
         while lo < k - 1 and lowest[lo] >= lo:
-            removed = sorted(orbits[lo].points)
-            detail = []
-            for x in removed:
-                n, i = x, x
+            points = sorted(orbits[lo].points)
+            detail = [0]
+            for n in range(1, len(points)):
+                x = points[n]
+                n, i = n - 1 + x - lo - marked.count(1, x & -128, x), x >> 7
                 while i:
-                    n -= below[i]
+                    n -= tree[i]
                     i &= i - 1
                 detail.append(n)
-            steps.append(Step(ORBIT_REMOVAL, degree, order, tuple(detail)))
-            for x in removed:
-                i = x + 1
-                while i < len(below):
-                    below[i] += 1
+                marked[x] = 1
+                i = (x >> 7) + 1
+                while i < top:
+                    tree[i] += 1
                     i += i & -i
+            steps.append(Step(ORBIT_REMOVAL, degree, order, tuple(detail)))
             degree -= orbits[lo].size
             lo += 1
         if lo == k - 1:
             orbits = orbits[lo:]
             break
         # the index f_D of the zel factor on each orbit D left: without a
-        # witness left, the lcm over the k - lo - 1 other orbits left, the
-        # first values of its scan
+        # witness left, the lcm of the indices of the other orbits left
         zel = [
-            o.size if w >= lo else math.lcm(*seen[:k - lo - 1])
-            for o, w, seen in zip(orbits[lo:], witness[lo:], indices[lo:])
+            o.size if w >= lo else math.lcm(*(h for j, h in pairs if j >= lo))
+            for o, w, pairs in zip(orbits[lo:], witness[lo:], found[lo:])
         ]
         orbits = orbits[lo:]
         sizes = [o.size for o in orbits]

@@ -20,14 +20,20 @@ import re
 
 from .perm import PermGroup, Permutation
 
-# blanks, at most one comma, blanks, then the digits of a point (maybe
-# none); a blank is any Unicode whitespace (\s, str.isspace) on every line
-_POINT = re.compile(r"\s*,?\s*(\d*)")
+# The points of a bracket group: each after blanks, at most one comma and
+# blanks, then blanks, at most one comma and blanks before the closing
+# bracket; a blank is any Unicode whitespace (\s, str.isspace, str.split).
+# Patterns are compiled on first use (re caches them), not at import.
+_POINTS = r"(?:\s*+,?+\s*+\d++)*+\s*+,?+\s*+"
+# a run of well-formed cycles, or one well-formed image list, with the
+# blanks after it
+_GROUPS = {"(": rf"(?:\({_POINTS}\)\s*+)*+", "[": rf"(?:\[{_POINTS}\]\s*+)?+"}
+_BLANKS = str.maketrans("([,", "   ")
 
-# At degree 10^6, diag Z2 on 500 000 blocks parses in 4 s and decides in
-# 13 s, with 410 MB max RSS for the whole process, text generation
-# included (Python 3.11, 2 shared vCPUs); far larger headers exhaust
-# memory or overflow.
+# At degree 10^6, diag Z2 on 500 000 blocks parses in 1.7-2.6 s and
+# decides in 7-14 s, with 410 MB max RSS for the whole process, text
+# generation included (Python 3.11, 2 shared and busy vCPUs); far larger
+# headers exhaust memory or overflow.
 MAX_DEGREE = 1_000_000
 
 
@@ -62,7 +68,7 @@ def parse_group(text: str) -> PermGroup:
                 raise ParseError("expected a number after 'degree'", lineno,
                                  indent + len(word) + 1)
             _, degree = _number(m.group(1), MAX_DEGREE)
-            if degree is None or degree > MAX_DEGREE:
+            if degree > MAX_DEGREE:
                 raise ParseError(f"degree exceeds the limit {MAX_DEGREE}",
                                  lineno, indent + len(word) + m.start(1) + 1)
             continue
@@ -87,64 +93,67 @@ def _skip_spaces(line: str, pos: int) -> int:
     return pos
 
 
-def _number(digits: str, limit: int) -> tuple[str, int | None]:
-    """The digits in ASCII without leading zeros, and their value, or None if
-    there are more digits than limit has (int() refuses more than 4300)."""
+def _number(digits: str, limit: int) -> tuple[str, int]:
+    """The digits in ASCII without leading zeros, and their value, or limit + 1
+    if there are more digits than limit has (int() refuses more than 4300)."""
     if not digits.isascii():  # other Unicode decimal digits, as int() reads them
         digits = "".join(str(int(c)) for c in digits)
     digits = digits.lstrip("0") or "0"
-    return digits, int(digits) if len(digits) <= len(str(limit)) else None
+    return digits, int(digits) if len(digits) <= len(str(limit)) else limit + 1
 
 
 def _parse_perm(line: str, pos: int, degree: int, lineno: int) -> Permutation:
-    seen: set[int] = set()
-
-    def group(bracket: str) -> list[int]:
-        """The points of the group whose opening bracket is at pos; pos moves past it."""
-        nonlocal pos
-        if bracket == "(":
-            close, noun, kind = ")", "point", "cycles"
-        else:
-            close, noun, kind = "]", "value", "image list"
-        points = []
-        pos += 1
-        while True:
-            m = _POINT.match(line, pos)
-            pos, digits = m.start(1), m.group(1)
-            if not digits:
-                if pos >= len(line):
-                    raise ParseError(f"unclosed {bracket!r}", lineno, pos + 1)
-                if line[pos] == close:
-                    pos += 1
-                    return points
-                raise ParseError(f"expected a point, got {line[pos]!r}", lineno, pos + 1)
-            shown, value = _number(digits, degree)
-            if value is None or value >= degree:
-                raise InvalidPermutation(f"{noun} {shown} out of range for degree {degree}",
-                                         lineno, pos + 1)
-            if value in seen:
-                raise InvalidPermutation(f"{noun} {value} repeated in {kind}", lineno, pos + 1)
-            seen.add(value)
-            points.append(value)
-            pos = m.end()
-
+    """The generator written after 'gen' from pos on.  Of its errors, the
+    first in reading order is raised."""
     pos = _skip_spaces(line, pos)
     if pos >= len(line):
         raise ParseError("missing permutation after 'gen'", lineno, pos + 1)
     bracket = line[pos]
     if bracket not in "([":
         raise ParseError(f"expected '(' or '[', got {bracket!r}", lineno, pos + 1)
-    groups = [group(bracket)]
-    end = pos
-    pos = _skip_spaces(line, pos)
-    while bracket == "(" and pos < len(line) and line[pos] == "(":
-        groups.append(group("("))
-        pos = _skip_spaces(line, pos)
-    if pos < len(line):
-        raise ParseError(f"unexpected trailing {line[pos]!r}", lineno, pos + 1)
-    if bracket == "(":
-        return Permutation.from_cycles(degree, groups)
-    if len(groups[0]) != degree:
-        raise InvalidPermutation(
-            f"image list has {len(groups[0])} entries, expected {degree}", lineno, end)
-    return Permutation(tuple(groups[0]))
+    # the well-formed groups, then maybe one that breaks off at stop
+    end = re.compile(_GROUPS[bracket]).match(line, pos).end()
+    groups = line[pos:end].translate(_BLANKS).split(")" if bracket == "(" else "]")[:-1]
+    broken = end == pos or (bracket == "(" and line.startswith("(", end))
+    stop = re.compile(_POINTS).match(line, end + 1).end() if broken else end
+    if broken:
+        groups.append(line[end + 1:stop].translate(_BLANKS))
+    try:
+        groups = [list(map(int, points.split())) for points in groups]
+    except ValueError:  # int() refuses over 4300 digits
+        groups = [[_number(x, degree)[1] for x in points.split()] for points in groups]
+    read = [x for points in groups for x in points] if len(groups) > 1 else groups[0]
+    if read and (max(read) >= degree or len(set(read)) < len(read)):
+        _raise_first_bad_point(line[:stop], pos, degree, lineno, bracket)
+    if broken:
+        got = f"expected a point, got {line[stop]!r}" if stop < len(line) else f"unclosed {bracket!r}"
+        raise ParseError(got, lineno, stop + 1)
+    if end < len(line):
+        raise ParseError(f"unexpected trailing {line[end]!r}", lineno, end + 1)
+    if bracket == "[":
+        if len(read) != degree:
+            raise InvalidPermutation(f"image list has {len(read)} entries, expected {degree}",
+                                     lineno, line.rindex("]", pos, end) + 1)
+        return Permutation._unchecked(tuple(read))
+    images = list(range(degree))
+    for cycle in groups:
+        if cycle:
+            for x, y in zip(cycle, cycle[1:]):
+                images[x] = y
+            images[cycle[-1]] = cycle[0]
+    return Permutation._unchecked(tuple(images))
+
+
+def _raise_first_bad_point(text: str, pos: int, degree: int, lineno: int, bracket: str) -> None:
+    """Raise InvalidPermutation at the first point from pos on that is out of
+    range or repeats an earlier one."""
+    noun, kind = ("point", "cycles") if bracket == "(" else ("value", "image list")
+    seen = bytearray(degree)
+    for m in re.compile(r"\d+").finditer(text, pos):
+        shown, value = _number(m.group(), degree)
+        if value >= degree:
+            raise InvalidPermutation(f"{noun} {shown} out of range for degree {degree}",
+                                     lineno, m.start() + 1)
+        if seen[value]:
+            raise InvalidPermutation(f"{noun} {value} repeated in {kind}", lineno, m.start() + 1)
+        seen[value] = 1

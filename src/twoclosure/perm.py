@@ -103,6 +103,14 @@ class Permutation(Frozen):
             seen[v] = True
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> Permutation:
+        """A permutation of images its caller has already checked to be a
+        bijection of 0..n-1, as the group-file parser does."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     # equality, hashing and order by images directly: sets of permutations
     # hash and compare them in the inner loops
     def __eq__(self, other):
@@ -335,7 +343,7 @@ class PermGroup:
         """The orbit partition of the point set, classes ordered by minimal point."""
         if self._orbit_cache is not None:
             return self._orbit_cache
-        n = self.degree
+        n, gens = self.degree, [g.images for g in self.generators]
         assigned = [-1] * n
         classes = []
         for start in range(n):
@@ -344,15 +352,12 @@ class PermGroup:
             idx = len(classes)
             assigned[start] = idx
             orbit = [start]
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for g in self.generators:
-                    y = g.images[x]
+            for x in orbit:  # breadth first: the loop walks the points it appends
+                for images in gens:
+                    y = images[x]
                     if assigned[y] == -1:
                         assigned[y] = idx
                         orbit.append(y)
-                        stack.append(y)
             classes.append(tuple(sorted(orbit)))
         self._orbit_cache = OrbitPartition(tuple(classes), tuple(assigned))
         return self._orbit_cache

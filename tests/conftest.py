@@ -1,10 +1,12 @@
 import random
+import re
 import sys
 
 import pytest
 from hypothesis import strategies as st
 
 from twoclosure import PermGroup, Permutation, random_abelian_cyclic
+from twoclosure.groupfile import MAX_DEGREE, InvalidPermutation, ParseError
 from twoclosure.decider import (
     ORBIT_REMOVAL,
     SYLOW_SPLIT,
@@ -197,6 +199,110 @@ def reference_decide(group):
                 return False, ReductionTrace(tuple(steps), False)
         steps.append(Step(TRANSITIVE_BASE, g.degree, g.order()))
     return True, ReductionTrace(tuple(steps), True)
+
+
+def reference_parse_group(text):
+    """The group-file parser as the library ran it before it read a bracket
+    group per regex match: one regex match and one number conversion per
+    point, then Permutation.from_cycles.  The parser must return the same
+    group, or raise the same error class with the same line, column and
+    message, on every input.
+    """
+    degree = None
+    generators = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        stripped = line.lstrip()
+        indent = len(line) - len(stripped)
+        word = stripped.split(None, 1)[0]
+        if degree is None:
+            if word != "degree":
+                raise ParseError("expected 'degree N' header", lineno, indent + 1)
+            m = re.fullmatch(r"\s+(\d+)\s*", stripped[len(word):])
+            if not m:
+                raise ParseError("expected a number after 'degree'", lineno,
+                                 indent + len(word) + 1)
+            _, degree = _reference_number(m.group(1), MAX_DEGREE)
+            if degree is None or degree > MAX_DEGREE:
+                raise ParseError(f"degree exceeds the limit {MAX_DEGREE}",
+                                 lineno, indent + len(word) + m.start(1) + 1)
+            continue
+        if word != "gen":
+            raise ParseError(f"expected 'gen', got {word!r}", lineno, indent + 1)
+        generators.append(_reference_perm(line, indent + len(word), degree, lineno))
+    if degree is None:
+        raise ParseError("missing 'degree N' header", max(1, text.count("\n") + 1), 1)
+    return PermGroup(degree, generators)
+
+
+_REFERENCE_POINT = re.compile(r"\s*,?\s*(\d*)")
+
+
+def _reference_number(digits, limit):
+    if not digits.isascii():
+        digits = "".join(str(int(c)) for c in digits)
+    digits = digits.lstrip("0") or "0"
+    return digits, int(digits) if len(digits) <= len(str(limit)) else None
+
+
+def _reference_perm(line, pos, degree, lineno):
+    seen = set()
+
+    def skip_spaces(pos):
+        while pos < len(line) and line[pos].isspace():
+            pos += 1
+        return pos
+
+    def group(bracket):
+        nonlocal pos
+        if bracket == "(":
+            close, noun, kind = ")", "point", "cycles"
+        else:
+            close, noun, kind = "]", "value", "image list"
+        points = []
+        pos += 1
+        while True:
+            m = _REFERENCE_POINT.match(line, pos)
+            pos, digits = m.start(1), m.group(1)
+            if not digits:
+                if pos >= len(line):
+                    raise ParseError(f"unclosed {bracket!r}", lineno, pos + 1)
+                if line[pos] == close:
+                    pos += 1
+                    return points
+                raise ParseError(f"expected a point, got {line[pos]!r}", lineno, pos + 1)
+            shown, value = _reference_number(digits, degree)
+            if value is None or value >= degree:
+                raise InvalidPermutation(f"{noun} {shown} out of range for degree {degree}",
+                                         lineno, pos + 1)
+            if value in seen:
+                raise InvalidPermutation(f"{noun} {value} repeated in {kind}", lineno, pos + 1)
+            seen.add(value)
+            points.append(value)
+            pos = m.end()
+
+    pos = skip_spaces(pos)
+    if pos >= len(line):
+        raise ParseError("missing permutation after 'gen'", lineno, pos + 1)
+    bracket = line[pos]
+    if bracket not in "([":
+        raise ParseError(f"expected '(' or '[', got {bracket!r}", lineno, pos + 1)
+    groups = [group(bracket)]
+    end = pos
+    pos = skip_spaces(pos)
+    while bracket == "(" and pos < len(line) and line[pos] == "(":
+        groups.append(group("("))
+        pos = skip_spaces(pos)
+    if pos < len(line):
+        raise ParseError(f"unexpected trailing {line[pos]!r}", lineno, pos + 1)
+    if bracket == "(":
+        return Permutation.from_cycles(degree, groups)
+    if len(groups[0]) != degree:
+        raise InvalidPermutation(
+            f"image list has {len(groups[0])} entries, expected {degree}", lineno, end)
+    return Permutation(tuple(groups[0]))
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import perm_groups
+from conftest import perm_groups, reference_parse_group
 from twoclosure.fixtures import fixture_example1, fixture_example2, random_abelian_cyclic
 from twoclosure.groupfile import (
     MAX_DEGREE,
@@ -244,3 +244,49 @@ def test_parse_returns_a_group_or_raises_parse_error(text):
     except ParseError:
         return
     assert isinstance(group, PermGroup)
+
+
+def _outcome(parse, text):
+    """The group a parser returns, or the class, position and message it raises."""
+    try:
+        group = parse(text)
+    except ParseError as exc:
+        return type(exc), exc.line, exc.column, str(exc)
+    return group.degree, group.generators
+
+
+# Where a line holds both a bad point and a syntax error, the earlier one is reported.
+_ORDERED = [
+    "degree 3\ngen (0 5 x",
+    "degree 3\ngen (0 1)(1 x",
+    "degree 3\ngen (0 1)(2 1",
+    "degree 3\ngen [0 0",
+    "degree 3\ngen [0 1 9] junk",
+    "degree 3\ngen (0 1) (2 ,, 0)",
+    "degree 3\ngen (0,1,)( ,2)  (",
+    "degree 12\ngen (10 11)(3 10)",
+    "degree 3\ngen (1)(1)",
+    "degree 0\ngen []",
+    "degree 0\ngen ()()",
+    "degree 3\ngen [2, 0, 1,]\ngen (0 2 1)",
+]
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(
+    st.text(max_size=40),
+    _NEAR_VALID,
+    perm_groups(max_degree=8, max_gens=3).map(serialize_group),
+    st.integers(0, 5_000).map(lambda seed: serialize_group(random_abelian_cyclic(seed, 16))),
+))
+@example(_HUGE_POINT)
+@example(_PADDED_IMAGES)
+@example("degree 3\ngen [" + "\u0660" * 5000 + "\u0661 0 2]")
+@example("degree 3\ngen (\u0660\u0661\u0663)")
+def test_parser_matches_the_reference_scanner(text):
+    assert _outcome(parse_group, text) == _outcome(reference_parse_group, text)
+
+
+@pytest.mark.parametrize("text", _ORDERED + [row[0] for row in _ERRORS])
+def test_parser_matches_the_reference_on_ordered_errors(text):
+    assert _outcome(parse_group, text) == _outcome(reference_parse_group, text)

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "argv",
     [
         ["examples_walkthrough.py"],
+        ["scale_sweep.py", "--max-degree", "500"],
     ],
 )
 def test_script_exits_zero(argv):
