@@ -413,7 +413,8 @@ def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
             labels[i][b] = label
         for q, f in zip(sizes, zel):
             order //= q // f
-        orbits = [_Orbit(f, pts, [v % f for v in o.shifts]) for o, f, pts in zip(orbits, zel, labels)]
+        orbits = [_Orbit(f, pts, [v % f for v in o.shifts] if f > 1 else [0] * len(o.shifts))
+                  for o, f, pts in zip(orbits, zel, labels)]
         degree = len(blocks)
     steps.append(Step(TRANSITIVE_BASE, degree, order))
     return True
