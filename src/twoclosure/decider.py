@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from heapq import merge
 from itertools import accumulate, compress
 from operator import ne, or_
 from typing import NamedTuple
@@ -348,8 +349,7 @@ def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
                 sup = list(compress(range(len(o.shifts)), o.shifts))
                 if len(sup) == 1:
                     below = reversed(movers[sup[0]])
-                else:  # imported here, so that inputs without shared generators skip it
-                    from heapq import merge
+                else:
                     below = merge(*(reversed(movers[h]) for h in sup), reverse=True)
                 last = i
                 for j in below:
@@ -413,8 +413,7 @@ def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
             labels[i][b] = label
         for q, f in zip(sizes, zel):
             order //= q // f
-        orbits = [_Orbit(f, pts, [v % f for v in o.shifts] if f > 1 else [0] * len(o.shifts))
-                  for o, f, pts in zip(orbits, zel, labels)]
+        orbits = [_Orbit(f, pts, [v % f for v in o.shifts]) for o, f, pts in zip(orbits, zel, labels)]
         degree = len(blocks)
     steps.append(Step(TRANSITIVE_BASE, degree, order))
     return True

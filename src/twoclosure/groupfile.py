@@ -20,18 +20,23 @@ import re
 
 from .perm import PermGroup, Permutation
 
-# The points of a bracket group: each after blanks, at most one comma and
-# blanks, then blanks, at most one comma and blanks before the closing
-# bracket; a blank is any Unicode whitespace (\s, str.isspace, str.split).
-# Patterns are compiled on first use (re caches them), not at import.
-_POINTS = r"(?:\s*+,?+\s*+\d++)*+\s*+,?+\s*+"
-# a run of well-formed cycles, or one well-formed image list, with the
-# blanks after it
-_GROUPS = {"(": rf"(?:\({_POINTS}\)\s*+)*+", "[": rf"(?:\[{_POINTS}\]\s*+)?+"}
+# The points of a bracket group: each after blanks and at most one comma
+# with blanks after it, then blanks and at most one comma with blanks
+# after it before the closing bracket; a blank is any Unicode whitespace
+# (\s, str.isspace, str.split).  A group reads its points up to the
+# first character that does not fit.
+_POINTS = re.compile(r"(?:\s*(?:,\s*)?\d+)*\s*(?:,\s*)?")
+# A run of groups of digits, blanks and commas, with the blanks after
+# it; such a group is well-formed unless two of its commas have only
+# blanks between them.  Flat patterns, so that a group that fails to
+# close is given up in time linear in its length.
+_GROUPS = {"(": re.compile(r"(?:\([\d\s,]*\)\s*)*"), "[": re.compile(r"(?:\[[\d\s,]*\]\s*)?")}
+_TWO_COMMAS = re.compile(r",\s*,")
+_DIGITS = re.compile(r"\d+")
 _BLANKS = str.maketrans("([,", "   ")
 
-# At degree 10^6, diag Z2 on 500 000 blocks parses in 1.7-2.6 s and
-# decides in 7-14 s, with 410 MB max RSS for the whole process, text
+# At degree 10^6, diag Z2 on 500 000 blocks parses in 2.1-2.3 s and
+# decides in 8-11 s, with 367 MB max RSS for the whole process, text
 # generation included (Python 3.11, 2 shared and busy vCPUs); far larger
 # headers exhaust memory or overflow.
 MAX_DEGREE = 1_000_000
@@ -112,10 +117,13 @@ def _parse_perm(line: str, pos: int, degree: int, lineno: int) -> Permutation:
     if bracket not in "([":
         raise ParseError(f"expected '(' or '[', got {bracket!r}", lineno, pos + 1)
     # the well-formed groups, then maybe one that breaks off at stop
-    end = re.compile(_GROUPS[bracket]).match(line, pos).end()
+    end = _GROUPS[bracket].match(line, pos).end()
+    commas = _TWO_COMMAS.search(line, pos, end)
+    if commas:  # the well-formed groups end where the one holding them starts
+        end = line.rindex(bracket, pos, commas.start())
     groups = line[pos:end].translate(_BLANKS).split(")" if bracket == "(" else "]")[:-1]
     broken = end == pos or (bracket == "(" and line.startswith("(", end))
-    stop = re.compile(_POINTS).match(line, end + 1).end() if broken else end
+    stop = _POINTS.match(line, end + 1).end() if broken else end
     if broken:
         groups.append(line[end + 1:stop].translate(_BLANKS))
     try:
@@ -149,7 +157,7 @@ def _raise_first_bad_point(text: str, pos: int, degree: int, lineno: int, bracke
     range or repeats an earlier one."""
     noun, kind = ("point", "cycles") if bracket == "(" else ("value", "image list")
     seen = bytearray(degree)
-    for m in re.compile(r"\d+").finditer(text, pos):
+    for m in _DIGITS.finditer(text, pos):
         shown, value = _number(m.group(), degree)
         if value >= degree:
             raise InvalidPermutation(f"{noun} {shown} out of range for degree {degree}",

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -290,3 +292,24 @@ def test_parser_matches_the_reference_scanner(text):
 @pytest.mark.parametrize("text", _ORDERED + [row[0] for row in _ERRORS])
 def test_parser_matches_the_reference_on_ordered_errors(text):
     assert _outcome(parse_group, text) == _outcome(reference_parse_group, text)
+
+
+# Groups that never close.  A pattern that can split one digit run, or one
+# run of blanks, two ways tries exponentially many splits before it gives up.
+_UNCLOSED = [
+    "(" + "1" * 28,
+    "(" + "1 " * 28 + "x",
+    "(" + "1  ,  " * 28 + ",",
+    "(0 1)" * 28 + "(" + "1" * 28 + " ,,",
+    "[" + "1" * 28 + " x",
+    "[" + " ,1 " * 28 + "]]",
+]
+
+
+@pytest.mark.parametrize("body", _UNCLOSED)
+def test_unclosed_group_is_refused_in_linear_time(body):
+    text = f"degree 2\ngen {body}\n"
+    start = time.process_time()
+    outcome = _outcome(parse_group, text)
+    assert time.process_time() - start < 1
+    assert outcome == _outcome(reference_parse_group, text)

@@ -1,31 +1,34 @@
-"""The decider's cost grows about linearly with the degree.
+"""The decider's work grows about linearly with the degree.
 
-Each family is decided at a size N and at 2N.  A cost linear in the
-size about doubles; a quadratic one about quadruples.  The sizes are
-chosen so that a quadratic part would dominate:
-  - diag Z2 on 10 000 blocks makes about 10 000 rank queries among the
-    removed labels of a chain of orbit removals, so a rank that costs
-    O(n) per query (a count over every label below) shows;
-  - indep k x Z2 at k = 25 has k orbits and no witness, so a witness
-    scan that tries every pair of orbits makes k^2 index computations.
-    Its k generators store k * 2k images, work that also grows as k^2
-    but at a far smaller cost per image; at k = 50 they take 40 KB, under
-    a common 48 KiB L1 data cache, past which the cost per image jumps.
+Each family is decided at a size N and at 2N, and the work is counted,
+not timed, so the checks read the same on any machine.  A cost linear
+in the size about doubles; a quadratic one about quadruples.  Two parts
+of the chain could turn quadratic without changing any trace:
+  - the witness scan.  It pairs only orbits that share a generator, so
+    indep k x Z2 (no two orbits share one) calls _index for no pair and
+    diag Z2 (one generator moves every orbit) for one pair per orbit
+    before it meets a witness; a scan over every pair calls it k^2 times;
+  - the relabelling at OrbitRemoval.  A point's new label subtracts the
+    removed labels below it, counted in O(log n): a bytearray count
+    inside the point's block of 128 labels plus a Fenwick tree over the
+    blocks below.  A count from label 0 costs O(n) per point.
+The lines _chain runs stand for its Python work: a loop that grows
+with the degree per point or per orbit shows in their ratio.
 """
 
-import gc
 import random
-import time
+import sys
 
+from twoclosure import decider
 from twoclosure.decider import decide_2_closed
 from twoclosure.perm import PermGroup, Permutation
 
-BOUND = 3
+BOUND = 2.5
 
 
 def _blocks(k, generators, seed=0):
-    """Degree and generators of k blocks of 2 points under relabelled points:
-    one generator swapping every block, or one per block."""
+    """k blocks of 2 points under relabelled points, with one generator
+    swapping every block (diag) or one per block (indep)."""
     sigma = list(range(2 * k))
     random.Random(seed).shuffle(sigma)
     pairs = [(sigma[2 * b], sigma[2 * b + 1]) for b in range(k)]
@@ -35,39 +38,66 @@ def _blocks(k, generators, seed=0):
         for x, y in block:
             images[x], images[y] = y, x
         gens.append(Permutation(tuple(images)))
-    return 2 * k, gens
+    return PermGroup(2 * k, gens)
 
 
-def _cpu_time(k, generators, repeats):
-    """CPU time of `repeats` decides, each on a new group (a group caches its orbits)."""
-    degree, gens = _blocks(k, generators)
-    groups = [PermGroup(degree, gens) for _ in range(repeats)]
-    gc.collect()
-    gc.disable()  # collections over the rest of the session's heap are not the decider's
+def _chain_lines(group):
+    """The number of lines _chain runs to decide the group."""
+    lines = 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count
+
+    def enter(frame, event, arg):
+        return count if frame.f_code is decider._chain.__code__ else None
+
+    sys.settrace(enter)
     try:
-        start = time.process_time()
-        for group in groups:
-            assert decide_2_closed(group)[0]
-        return time.process_time() - start
+        assert decide_2_closed(group)[0]
     finally:
-        gc.enable()
+        sys.settrace(None)
+    return lines
 
 
-def _doubling_ratio(k, generators, repeats):
-    """Best of 3 CPU times at 2k over best of 3 at k.  The sizes take turns,
-    so that a change in the load of a shared machine slows both alike."""
-    small, large = [], []
-    for _ in range(3):
-        small.append(_cpu_time(k, generators, repeats))
-        large.append(_cpu_time(2 * k, generators, repeats))
-    return min(large) / min(small)
+def test_witness_scan_pairs_only_orbits_that_share_a_generator(monkeypatch):
+    calls = 0
+    index = decider._index
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return index(a, b)
+
+    monkeypatch.setattr(decider, "_index", counted)
+    for k, generators, most in [(400, "indep", 0), (400, "diag", 400)]:
+        calls = 0
+        assert decide_2_closed(_blocks(k, generators))[0]
+        assert calls <= most, (generators, k, calls)
+
+
+def test_rank_counts_removed_labels_inside_one_block(monkeypatch):
+    widest = 0
+
+    class Marks(bytearray):
+        def count(self, x, start=0, end=None):
+            nonlocal widest
+            end = len(self) if end is None else end
+            widest = max(widest, end - start)
+            return super().count(x, start, end)
+
+    monkeypatch.setattr(decider, "bytearray", Marks, raising=False)
+    assert decide_2_closed(_blocks(5_000, "diag"))[0]
+    assert 0 < widest <= 128, widest
 
 
 def test_diag_z2_scales_about_linearly():
-    ratio = _doubling_ratio(10_000, "diag", 2)
+    ratio = _chain_lines(_blocks(20_000, "diag")) / _chain_lines(_blocks(10_000, "diag"))
     assert ratio < BOUND, ratio
 
 
 def test_indep_z2_scales_about_linearly():
-    ratio = _doubling_ratio(25, "indep", 16)
+    ratio = _chain_lines(_blocks(400, "indep")) / _chain_lines(_blocks(200, "indep"))
     assert ratio < BOUND, ratio
