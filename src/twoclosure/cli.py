@@ -113,13 +113,8 @@ def _cmd_orb2(args) -> int:
     return 0
 
 
-def _cmd_example1(args) -> int:
-    _print_group(fixture_example1(args.p))
-    return 0
-
-
-def _cmd_example2(args) -> int:
-    _print_group(fixture_example2(args.p))
+def _cmd_fixture(args) -> int:
+    _print_group(args.fixture(args.p))
     return 0
 
 
@@ -135,6 +130,12 @@ _FILE_COMMANDS = (
     ("zel", "the zel subgroup of an intransitive group", _cmd_zel),
     ("orbits", "print the orbits, one per line", _cmd_orbits),
     ("orb2", "print the pair-orbit color matrix", _cmd_orb2),
+)
+
+# The subcommands that take a prime p and print a fixture group.
+_FIXTURE_COMMANDS = (
+    ("example1", "three-orbit fixture of order p^2 on 3p points", fixture_example1),
+    ("example2", "diagonal double of example1 on 6p points", fixture_example2),
 )
 
 
@@ -160,13 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("example1", help="three-orbit fixture of order p^2 on 3p points")
-    p.add_argument("p", type=int)
-    p.set_defaults(func=_cmd_example1)
-
-    p = sub.add_parser("example2", help="diagonal double of example1 on 6p points")
-    p.add_argument("p", type=int)
-    p.set_defaults(func=_cmd_example2)
+    for name, summary, fixture in _FIXTURE_COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("p", type=int)
+        p.set_defaults(func=_cmd_fixture, fixture=fixture)
 
     p = sub.add_parser("random", help="seeded random abelian instance")
     p.add_argument("--seed", type=int, required=True)

@@ -37,8 +37,9 @@ each step of the chain is integer arithmetic on those vectors:
 Point labels are kept per coordinate, so the steps report the same
 orbits and sizes as the group they describe.  Each orbit is walked once,
 along a generator (or product of generator powers) that runs through
-it, and the witness scan pairs only orbits that share a generator, so
-the cost is about linear in the degree and the number of nonzero shifts.
+it, and the witness scan, which zel() shares with the chain, pairs only
+orbits that share a generator, so the cost of either is about linear in
+the degree and the number of nonzero shifts.
 """
 
 from __future__ import annotations
@@ -301,68 +302,73 @@ def _index(a: _Orbit, b: _Orbit) -> int:
     return h
 
 
-def _zel_index(orbits: list[_Orbit], i: int) -> int:
-    """f_D for D = orbits[i]: the zel factor on D intersects, over D' != D,
-    subgroups of the cyclic Z_|D| of index _index(D, D'); its index is their lcm."""
-    a, f = orbits[i], 1
-    for j, b in enumerate(orbits):
-        if j != i:
-            f = math.lcm(f, _index(a, b))
-            if f == a.size:
-                break
-    return f
+def _witness_scan(orbits: list[_Orbit]) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
+    """For each orbit D, its last witness, or -1, and the (j, _index) pairs
+    of index above 1 met on the way down to it.
+
+    A witness of D is another orbit D' whose pointwise stabilizer fixes
+    D too (_index is |D|).  Only an orbit D' that shares a generator with
+    D can be a witness or add to f_D (otherwise _index is 1), so the scan
+    walks, from the top down, the orbits moved by D's generators and stops
+    at the first witness; a fixed point's witness is the top other orbit.
+    """
+    k = len(orbits)
+    # movers[h]: the orbits generator h moves, ascending
+    movers = [list(compress(range(k), column)) for column in zip(*(o.shifts for o in orbits))]
+    witness, found = [], []
+    for i, o in enumerate(orbits):
+        w, pairs = -1, []
+        if o.size == 1:
+            w = k - 1 if i < k - 1 else k - 2
+        else:
+            sup = list(compress(range(len(o.shifts)), o.shifts))
+            if len(sup) == 1:
+                below = reversed(movers[sup[0]])
+            else:
+                below = merge(*(reversed(movers[h]) for h in sup), reverse=True)
+            last = i
+            for j in below:
+                if j == last or j == i:
+                    continue
+                last, h = j, _index(o, orbits[j])
+                if h == o.size:
+                    w = j
+                    break
+                if h > 1:
+                    pairs.append((j, h))
+        witness.append(w)
+        found.append(pairs or ())  # no empty list kept per orbit
+    return witness, found
+
+
+def _zel_factors(orbits: list[_Orbit], witness: list[int], found: list, lo: int) -> list[int]:
+    """f_D for each orbit D from orbits[lo] on, once the orbits below lo are
+    gone: |D| if a witness of D is left, else the lcm of the indices of the
+    orbits left."""
+    return [o.size if w >= lo else math.lcm(*(h for j, h in pairs if j >= lo))
+            for o, w, pairs in zip(orbits[lo:], witness[lo:], found[lo:])]
 
 
 def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
     """Reduce one p-group to its base case, appending the steps taken.
 
     Every orbit size is a power of p, so the zel factor on an orbit D is
-    trivial exactly when some other orbit D' is a witness: the elements
-    fixing D' pointwise also fix D.  Orbit removal leaves every witness a
-    witness and removes orbits in order of minimal point, so the last
-    witness of each orbit, found once, says for how long its zel factor
-    stays trivial.  Only an orbit D' that shares a generator with D can
-    be a witness or add to f_D (otherwise _index is 1), so the scan
-    walks, from the top down, the orbits moved by D's generators; a fixed
-    point's witness is the top other orbit.  Labels are relabelled only
-    at ZelReduce; in between, a point's label is its label at the last
-    relabelling minus the number of removed points below it.  Those are
-    counted in O(log n): a bytearray marks removed labels and is counted
-    inside a block of 128 labels, and a Fenwick tree sums the counts of
-    the blocks below.
+    trivial exactly when D has a witness (see _witness_scan).  Orbit
+    removal leaves every witness a witness and removes orbits in order of
+    minimal point, so the last witness of each orbit, found once, says
+    for how long its zel factor stays trivial.  Labels are relabelled
+    only at ZelReduce; in between, a point's label is its label at the
+    last relabelling minus the number of removed points below it.  Those
+    are counted in O(log n): a bytearray marks removed labels and is
+    counted inside a block of 128 labels, and a Fenwick tree sums the
+    counts of the blocks below.
 
     Returns False when the chain ends in ZelNotInside.
     """
     degree = sum(o.size for o in orbits)
     while len(orbits) > 1:
         k = len(orbits)
-        # movers[h]: the orbits generator h moves, ascending
-        movers = [list(compress(range(k), column)) for column in zip(*(o.shifts for o in orbits))]
-        # witness[i]: the last witness of orbit i, or -1; found[i]: the
-        # (j, _index) pairs of index above 1 met on the way down to it
-        witness, found = [], []
-        for i, o in enumerate(orbits):
-            w, pairs = -1, []
-            if o.size == 1:
-                w = k - 1 if i < k - 1 else k - 2
-            else:
-                sup = list(compress(range(len(o.shifts)), o.shifts))
-                if len(sup) == 1:
-                    below = reversed(movers[sup[0]])
-                else:
-                    below = merge(*(reversed(movers[h]) for h in sup), reverse=True)
-                last = i
-                for j in below:
-                    if j == last or j == i:
-                        continue
-                    last, h = j, _index(o, orbits[j])
-                    if h == o.size:
-                        w = j
-                        break
-                    if h > 1:
-                        pairs.append((j, h))
-            witness.append(w)
-            found.append(pairs or ())  # no empty list kept per orbit
+        witness, found = _witness_scan(orbits)
         lowest = list(accumulate(reversed(witness), min))[::-1]  # lowest[i] = min(witness[i:])
         # The minimal point of orbit lo is the least label left, so its new
         # label is 0 and the labels below it are those of the lo orbits
@@ -393,12 +399,7 @@ def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
         if lo == k - 1:
             orbits = orbits[lo:]
             break
-        # the index f_D of the zel factor on each orbit D left: without a
-        # witness left, the lcm of the indices of the other orbits left
-        zel = [
-            o.size if w >= lo else math.lcm(*(h for j, h in pairs if j >= lo))
-            for o, w, pairs in zip(orbits[lo:], witness[lo:], found[lo:])
-        ]
+        zel = _zel_factors(orbits, witness, found, lo)
         orbits = orbits[lo:]
         sizes = [o.size for o in orbits]
         if _order(orbits, tuple({i: f} for i, f in enumerate(zel) if f < sizes[i])) != order:
@@ -464,11 +465,10 @@ def zel(group: PermGroup) -> PermGroup:
         raise ValueError(f"zel needs at least two orbits, got {len(orbits)}; "
                          "not defined for transitive groups")
     gens = []
-    for i, o in enumerate(orbits):
-        f = _zel_index(orbits, i)
+    for o, f in zip(orbits, _zel_factors(orbits, *_witness_scan(orbits), 0)):
         if f < o.size:
             images = list(range(group.degree))
-            for c, x in enumerate(o.points):
-                images[x] = o.points[(c + f) % o.size]
-            gens.append(Permutation(tuple(images)))
+            for x, y in zip(o.points, o.points[f:] + o.points[:f]):
+                images[x] = y
+            gens.append(Permutation._unchecked(tuple(images)))  # a shift of the walk
     return PermGroup(group.degree, gens)

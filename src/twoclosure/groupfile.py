@@ -92,12 +92,6 @@ def serialize_group(group: PermGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _skip_spaces(line: str, pos: int) -> int:
-    while pos < len(line) and line[pos].isspace():
-        pos += 1
-    return pos
-
-
 def _number(digits: str, limit: int) -> tuple[str, int]:
     """The digits in ASCII without leading zeros, and their value, or limit + 1
     if there are more digits than limit has (int() refuses more than 4300)."""
@@ -110,7 +104,7 @@ def _number(digits: str, limit: int) -> tuple[str, int]:
 def _parse_perm(line: str, pos: int, degree: int, lineno: int) -> Permutation:
     """The generator written after 'gen' from pos on.  Of its errors, the
     first in reading order is raised."""
-    pos = _skip_spaces(line, pos)
+    pos = len(line) - len(line[pos:].lstrip())
     if pos >= len(line):
         raise ParseError("missing permutation after 'gen'", lineno, pos + 1)
     bracket = line[pos]
@@ -143,13 +137,7 @@ def _parse_perm(line: str, pos: int, degree: int, lineno: int) -> Permutation:
             raise InvalidPermutation(f"image list has {len(read)} entries, expected {degree}",
                                      lineno, line.rindex("]", pos, end) + 1)
         return Permutation._unchecked(tuple(read))
-    images = list(range(degree))
-    for cycle in groups:
-        if cycle:
-            for x, y in zip(cycle, cycle[1:]):
-                images[x] = y
-            images[cycle[-1]] = cycle[0]
-    return Permutation._unchecked(tuple(images))
+    return Permutation._unchecked_cycles(degree, groups)
 
 
 def _raise_first_bad_point(text: str, pos: int, degree: int, lineno: int, bracket: str) -> None:

@@ -105,11 +105,23 @@ class Permutation(Frozen):
 
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> Permutation:
-        """A permutation of images its caller has already checked to be a
-        bijection of 0..n-1, as the group-file parser does."""
+        """A permutation of images its caller has already checked or built to
+        be a bijection of 0..n-1, as the group-file parser and zel do."""
         perm = object.__new__(cls)
         object.__setattr__(perm, "images", images)
         return perm
+
+    @classmethod
+    def _unchecked_cycles(cls, degree: int, cycles: Iterable[list[int]]) -> Permutation:
+        """The permutation of disjoint cycles its caller has already checked
+        to lie in 0..degree-1 without a repeated point."""
+        images = list(range(degree))
+        for cycle in cycles:
+            if cycle:
+                for x, y in zip(cycle, cycle[1:]):
+                    images[x] = y
+                images[cycle[-1]] = cycle[0]
+        return cls._unchecked(tuple(images))
 
     # equality, hashing and order by images directly: sets of permutations
     # hash and compare them in the inner loops
@@ -138,19 +150,15 @@ class Permutation(Frozen):
     @staticmethod
     def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> Permutation:
         """Build a permutation from disjoint cycles; unmentioned points are fixed."""
-        images = list(range(degree))
+        cycles = [list(cycle) for cycle in cycles]
         touched = set()
-        for cycle in cycles:
-            cycle = list(cycle)
-            for pt in cycle:
-                if not 0 <= pt < degree:
-                    raise ValueError(f"point {pt} out of range for degree {degree}")
-                if pt in touched:
-                    raise ValueError(f"point {pt} repeated across cycles")
-                touched.add(pt)
-            for i, pt in enumerate(cycle):
-                images[pt] = cycle[(i + 1) % len(cycle)]
-        return Permutation(tuple(images))
+        for pt in (pt for cycle in cycles for pt in cycle):
+            if not 0 <= pt < degree:
+                raise ValueError(f"point {pt} out of range for degree {degree}")
+            if pt in touched:
+                raise ValueError(f"point {pt} repeated across cycles")
+            touched.add(pt)
+        return Permutation._unchecked_cycles(degree, cycles)
 
     @property
     def degree(self) -> int:

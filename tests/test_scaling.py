@@ -12,8 +12,10 @@ of the chain could turn quadratic without changing any trace:
     removed labels below it, counted in O(log n): a bytearray count
     inside the point's block of 128 labels plus a Fenwick tree over the
     blocks below.  A count from label 0 costs O(n) per point.
-The lines _chain runs stand for its Python work: a loop that grows
-with the degree per point or per orbit shows in their ratio.
+The lines _chain and _witness_scan run stand for the chain's Python
+work: a loop that grows with the degree per point or per orbit shows in
+their ratio.  zel() runs the same witness scan, so it is held to the
+same pair counts.
 """
 
 import random
@@ -41,9 +43,14 @@ def _blocks(k, generators, seed=0):
     return PermGroup(2 * k, gens)
 
 
+def _decide_closed(group):
+    assert decide_2_closed(group)[0]
+
+
 def _chain_lines(group):
-    """The number of lines _chain runs to decide the group."""
+    """The number of lines _chain and its witness scan run to decide the group."""
     lines = 0
+    counted = {decider._chain.__code__, decider._witness_scan.__code__}
 
     def count(frame, event, arg):
         nonlocal lines
@@ -52,17 +59,18 @@ def _chain_lines(group):
         return count
 
     def enter(frame, event, arg):
-        return count if frame.f_code is decider._chain.__code__ else None
+        return count if frame.f_code in counted else None
 
     sys.settrace(enter)
     try:
-        assert decide_2_closed(group)[0]
+        _decide_closed(group)
     finally:
         sys.settrace(None)
     return lines
 
 
-def test_witness_scan_pairs_only_orbits_that_share_a_generator(monkeypatch):
+def _index_calls(monkeypatch, run, group):
+    """The number of _index calls run(group) makes."""
     calls = 0
     index = decider._index
 
@@ -72,9 +80,19 @@ def test_witness_scan_pairs_only_orbits_that_share_a_generator(monkeypatch):
         return index(a, b)
 
     monkeypatch.setattr(decider, "_index", counted)
+    run(group)
+    return calls
+
+
+def test_witness_scan_pairs_only_orbits_that_share_a_generator(monkeypatch):
     for k, generators, most in [(400, "indep", 0), (400, "diag", 400)]:
-        calls = 0
-        assert decide_2_closed(_blocks(k, generators))[0]
+        calls = _index_calls(monkeypatch, _decide_closed, _blocks(k, generators))
+        assert calls <= most, (generators, k, calls)
+
+
+def test_zel_uses_the_same_witness_scan(monkeypatch):
+    for k, generators, most in [(400, "indep", 0), (400, "diag", 400)]:
+        calls = _index_calls(monkeypatch, decider.zel, _blocks(k, generators))
         assert calls <= most, (generators, k, calls)
 
 
