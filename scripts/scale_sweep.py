@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time parse_group and decide_2_closed on three families at doubling degrees.
+"""Time parse_group, decide_2_closed and zel on three families at doubling degrees.
 
     python scripts/scale_sweep.py --max-degree 100000
 
@@ -11,16 +11,20 @@ a seeded shuffle, as a file from elsewhere would be:
   example1 fixture_example1(p) for the least prime p with 3p >= degree
 
 Every size runs in a fresh interpreter, so the max RSS column is that of
-one parse and one decide (text generation included).  indep stops at
-INDEP_MAX_DEGREE, because its k generators store k * 2k images.  The
-last column is the decide time over that of the previous size: about 2
-for a cost linear in the degree, about 4 for a quadratic one.
+one parse, one decide and one zel (text generation included).  zel_s
+times what `twoclosure zel` does after parsing: zel, the product of its
+generators' orders for the '# order' line, and serialize_group.  indep
+stops at INDEP_MAX_DEGREE, because its k generators store k * 2k
+images.  The last column is the decide time over that of the previous
+size: about 2 for a cost linear in the degree, about 4 for a quadratic
+one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import resource
@@ -40,42 +44,31 @@ def _is_prime(n: int) -> bool:
 
 def group_text(family: str, degree: int, seed: int = 0) -> str:
     """The family's group file at (about) the given degree."""
+    from twoclosure.groupfile import serialize_group
+    from twoclosure.perm import PermGroup, Permutation
+
     if family == "example1":
         from twoclosure.fixtures import fixture_example1
 
         p = next(p for p in range(max(2, -(-degree // 3)), 3 * degree + 2) if _is_prime(p))
         group = fixture_example1(p)
-        degree, gens = group.degree, [g.images for g in group.generators]
+        degree, gens = group.degree, list(group.generators)
     else:
         k = degree // 2
-        shifts = [list(range(k))] if family == "diag" else [[b] for b in range(k)]
-        gens = []
-        for blocks in shifts:
-            images = list(range(degree))
-            for b in blocks:
-                images[2 * b], images[2 * b + 1] = 2 * b + 1, 2 * b
-            gens.append(images)
+        shifts = [range(k)] if family == "diag" else [[b] for b in range(k)]
+        gens = [Permutation.from_cycles(degree, [(2 * b, 2 * b + 1) for b in blocks]) for blocks in shifts]
     sigma = list(range(degree))
     random.Random(seed).shuffle(sigma)
-    lines = [f"degree {degree}"]
-    for images in gens:
-        cycles, seen = [], [False] * degree
-        for start in range(degree):
-            if not seen[start] and images[start] != start:
-                cycle, x = [], start
-                while not seen[x]:
-                    seen[x] = True
-                    cycle.append(sigma[x])
-                    x = images[x]
-                cycles.append("(" + " ".join(map(str, cycle)) + ")")
-        lines.append("gen " + "".join(cycles))
-    return "\n".join(lines) + "\n"
+    relabel = Permutation(tuple(sigma))
+    unlabel = relabel.inverse()
+    return serialize_group(PermGroup(degree, [unlabel * g * relabel for g in gens]))
 
 
 def run_one(family: str, degree: int) -> dict:
-    """Parse and decide one instance in this process."""
-    from twoclosure.decider import decide_2_closed
-    from twoclosure.groupfile import parse_group
+    """Parse and decide one instance in this process, then run what
+    `twoclosure zel` runs after parsing."""
+    from twoclosure.decider import decide_2_closed, zel
+    from twoclosure.groupfile import parse_group, serialize_group
 
     text = group_text(family, degree)
     t0 = time.perf_counter()
@@ -83,10 +76,15 @@ def run_one(family: str, degree: int) -> dict:
     t1 = time.perf_counter()
     closed, trace = decide_2_closed(group)
     t2 = time.perf_counter()
+    z = zel(group)
+    math.prod(g.order() for g in z.generators)
+    serialize_group(z)
+    t3 = time.perf_counter()
     return {
         "degree": group.degree,
         "parse_s": t1 - t0,
         "decide_s": t2 - t1,
+        "zel_s": t3 - t2,
         "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "closed": closed,
         "steps": len(trace.steps),
@@ -103,7 +101,7 @@ def main(argv=None) -> int:
         print(json.dumps(run_one(args.run[0], int(args.run[1]))))
         return 0
     src = str(Path(__file__).resolve().parent.parent / "src")
-    print(f"{'family':<9} {'degree':>8} {'parse_s':>9} {'decide_s':>9} {'max_rss_mb':>10} {'ratio':>6}")
+    print(f"{'family':<9} {'degree':>8} {'parse_s':>9} {'decide_s':>9} {'zel_s':>9} {'max_rss_mb':>10} {'ratio':>6}")
     for family in args.families:
         cap = min(args.max_degree, INDEP_MAX_DEGREE) if family == "indep" else args.max_degree
         degree, previous = MIN_DEGREE, None
@@ -114,7 +112,7 @@ def main(argv=None) -> int:
             ).stdout
             row = json.loads(out)
             ratio = f"{row['decide_s'] / previous:6.2f}" if previous else f"{'':>6}"
-            print(f"{family:<9} {row['degree']:>8} {row['parse_s']:>9.4f} {row['decide_s']:>9.4f} "
+            print(f"{family:<9} {row['degree']:>8} {row['parse_s']:>9.4f} {row['decide_s']:>9.4f} {row['zel_s']:>9.4f} "
                   f"{row['max_rss_mb']:>10.1f} {ratio}", flush=True)
             previous, degree = row["decide_s"], 2 * degree
     return 0

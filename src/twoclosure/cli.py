@@ -15,12 +15,15 @@ decide exits 0 when the group is 2-closed, 1 when it is not, 2 on any
 error (including an oracle disagreement, which would mean a bug here).
 decide, zel and closure enumerate no group elements, '# order'
 included: closure prints the generators the oracle's search found, and
-its order is the product of their basic orbit lengths.
+its order is the product of their basic orbit lengths; zel prints one
+generator per orbit it moves, and its order is the product of their
+orders.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .decider import (
@@ -29,7 +32,6 @@ from .decider import (
     ZEL_REDUCE,
     Step,
     decide_2_closed,
-    group_order,
     zel,
 )
 from .coloring import orb2
@@ -98,7 +100,9 @@ def _cmd_closure(args) -> int:
 
 def _cmd_zel(args) -> int:
     z = zel(_read_group(args.file))
-    _print_group(z, group_order(z))
+    # one generator per orbit that zel moves, on disjoint point sets, so
+    # |zel(G)| is the product of the generators' orders
+    _print_group(z, math.prod(g.order() for g in z.generators))
     return 0
 
 

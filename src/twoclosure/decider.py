@@ -444,11 +444,6 @@ def decide_2_closed(group: PermGroup) -> tuple[bool, ReductionTrace]:
     return True, ReductionTrace(tuple(steps), True)
 
 
-def group_order(group: PermGroup) -> int:
-    """|G| by arithmetic on the coordinates; PreconditionFailed outside the class."""
-    return _order(_coordinates(group))
-
-
 def zel(group: PermGroup) -> PermGroup:
     """The product over orbits D of the intersections of the groups
     induced on D by the pointwise stabilizers of the other orbits.
@@ -464,11 +459,7 @@ def zel(group: PermGroup) -> PermGroup:
     if len(orbits) < 2:
         raise ValueError(f"zel needs at least two orbits, got {len(orbits)}; "
                          "not defined for transitive groups")
-    gens = []
-    for o, f in zip(orbits, _zel_factors(orbits, *_witness_scan(orbits), 0)):
-        if f < o.size:
-            images = list(range(group.degree))
-            for x, y in zip(o.points, o.points[f:] + o.points[:f]):
-                images[x] = y
-            gens.append(Permutation._unchecked(tuple(images)))  # a shift of the walk
+    # the residue classes of an orbit's coordinates mod f_D are the cycles of c^f_D
+    gens = [Permutation._unchecked_cycles(group.degree, [o.points[b::f] for b in range(f)])
+            for o, f in zip(orbits, _zel_factors(orbits, *_witness_scan(orbits), 0)) if f < o.size]
     return PermGroup(group.degree, gens)

@@ -11,7 +11,9 @@ oracle and the tests' reference procedures, and the element cap
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from itertools import compress
+from operator import ne
+from typing import Iterable, Optional, Sequence
 
 DEFAULT_CAP = 1_000_000
 
@@ -106,15 +108,16 @@ class Permutation(Frozen):
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> Permutation:
         """A permutation of images its caller has already checked or built to
-        be a bijection of 0..n-1, as the group-file parser and zel do."""
+        be a bijection of 0..n-1, as the group-file parser and ``**`` do."""
         perm = object.__new__(cls)
         object.__setattr__(perm, "images", images)
         return perm
 
     @classmethod
-    def _unchecked_cycles(cls, degree: int, cycles: Iterable[list[int]]) -> Permutation:
+    def _unchecked_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> Permutation:
         """The permutation of disjoint cycles its caller has already checked
-        to lie in 0..degree-1 without a repeated point."""
+        (the group-file parser) or built (zel) to lie in 0..degree-1 without
+        a repeated point."""
         images = list(range(degree))
         for cycle in cycles:
             if cycle:
@@ -173,46 +176,39 @@ class Permutation(Frozen):
         return Permutation(tuple(other.images[v] for v in self.images))
 
     def __pow__(self, k: int) -> Permutation:
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        images = list(range(self.degree))
+        for cycle in self.cycles():
+            s = k % len(cycle)
+            for x, y in zip(cycle, cycle[s:] + cycle[:s]):
+                images[x] = y
+        return Permutation._unchecked(tuple(images))
 
     def inverse(self) -> Permutation:
-        images = [0] * self.degree
-        for i, v in enumerate(self.images):
-            images[v] = i
-        return Permutation(tuple(images))
+        return self ** -1
 
     def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
+        return not any(map(ne, self.images, range(self.degree)))
 
-    def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
-        """Disjoint cycles, each starting at its minimal point, ordered by that point."""
-        seen = [False] * self.degree
-        out = []
-        for i in range(self.degree):
-            if seen[i]:
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Disjoint cycles of the moved points, each starting at its minimal
+        point, ordered by that point.  A scan in C skips the fixed points, so
+        only the moved points are walked in Python; order, ``**``, inverse
+        and str all read these cycles."""
+        images, n = self.images, self.degree
+        seen, out = set(), []
+        for i in compress(range(n), map(ne, images, range(n))):
+            if i in seen:
                 continue
-            cycle = [i]
-            seen[i] = True
-            j = self.images[i]
+            cycle, j = [i], images[i]
             while j != i:
                 cycle.append(j)
-                seen[j] = True
-                j = self.images[j]
-            if len(cycle) > 1 or include_fixed:
-                out.append(tuple(cycle))
+                j = images[j]
+            seen.update(cycle)
+            out.append(tuple(cycle))
         return tuple(out)
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
+        return math.lcm(*map(len, self.cycles()))
 
     def __str__(self) -> str:
         cycles = self.cycles()

@@ -115,6 +115,51 @@ def reference_zel(group):
     return PermGroup(group.degree, gens)
 
 
+def reference_cycles(perm, include_fixed=False):
+    """Permutation.cycles as the library walked it before it skipped the
+    fixed points: every point in ascending order, each cycle from its
+    minimal point, the fixed points kept on request."""
+    seen = [False] * perm.degree
+    out = []
+    for i in range(perm.degree):
+        if seen[i]:
+            continue
+        cycle = [i]
+        seen[i] = True
+        j = perm.images[i]
+        while j != i:
+            cycle.append(j)
+            seen[j] = True
+            j = perm.images[j]
+        if len(cycle) > 1 or include_fixed:
+            out.append(tuple(cycle))
+    return tuple(out)
+
+
+def reference_inverse(perm):
+    """The inverse written point by point, as the library built it before
+    it shifted cycles."""
+    images = [0] * perm.degree
+    for i, v in enumerate(perm.images):
+        images[v] = i
+    return Permutation(tuple(images))
+
+
+def reference_power(perm, k):
+    """perm ** k by repeated squaring, as the library computed it before
+    it shifted each cycle by k."""
+    if k < 0:
+        return reference_power(reference_inverse(perm), -k)
+    result = Permutation.identity(perm.degree)
+    base = perm
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
 def reference_automorphisms(coloring):
     """Every permutation preserving the coloring, one search leaf each, as
     the oracle found them before it searched for generators.  Points get

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoclosure import decider
 from twoclosure.cli import main
 from twoclosure.coloring import orb2
 from twoclosure.decider import zel
-from twoclosure.fixtures import fixture_example1, random_abelian_cyclic
+from twoclosure.fixtures import fixture_example1, fixture_example2, random_abelian_cyclic
 from twoclosure.groupfile import parse_group, serialize_group
 from twoclosure.perm import PermGroup
 
@@ -131,6 +132,38 @@ def test_zel_at_a_size_enumeration_cannot_reach(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "# order 1030301"
     assert parse_group(out) == zel(g)
+
+
+def test_zel_runs_the_coordinates_once(tmp_path, capsys, monkeypatch):
+    calls = 0
+    coordinates = decider._coordinates
+
+    def counted(group):
+        nonlocal calls
+        calls += 1
+        return coordinates(group)
+
+    monkeypatch.setattr(decider, "_coordinates", counted)
+    path = write_group(tmp_path, "ex1.grp", serialize_group(fixture_example1(5)))
+    code, _, _ = run(capsys, "zel", path)
+    assert code == 0
+    assert calls == 1
+
+
+def test_zel_order_line_is_the_order_of_zel(tmp_path, capsys):
+    groups = [fixture(p) for fixture in (fixture_example1, fixture_example2) for p in (2, 3, 5, 7)]
+    groups += [random_abelian_cyclic(seed, 30) for seed in range(300)]
+    checked = 0
+    for g in groups:
+        if g.is_transitive():
+            continue
+        path = write_group(tmp_path, "g.grp", serialize_group(g))
+        code, out, _ = run(capsys, "zel", path)
+        assert code == 0
+        expected = decider._order(decider._coordinates(zel(g)))
+        assert out.splitlines()[0] == f"# order {expected}", serialize_group(g)
+        checked += 1
+    assert checked > 250
 
 
 def test_zel_outside_the_class_exits_two(tmp_path, capsys):

@@ -1,8 +1,17 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian_instances, perm_groups, permutations
+from conftest import (
+    abelian_instances,
+    perm_groups,
+    permutations,
+    reference_cycles,
+    reference_inverse,
+    reference_power,
+)
 from twoclosure import perm
 from twoclosure.fixtures import fixture_example1
 from twoclosure.perm import (
@@ -70,6 +79,22 @@ def test_power_and_order():
     assert r ** -1 == r.inverse()
     assert (r ** 4) * (r ** 2) == Permutation.identity(6)
     assert cyc(5, (0, 1), (2, 3, 4)).order() == 6
+
+
+def _identity_or_any(degree):
+    return st.one_of(st.just(Permutation.identity(degree)), permutations(degree))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 12).flatmap(_identity_or_any), st.integers(-30, 30))
+def test_cycle_queries_match_the_full_walk(p, k):
+    cycles = reference_cycles(p)
+    assert p.cycles() == cycles
+    assert str(p) == ("".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()")
+    assert p.order() == math.lcm(*map(len, reference_cycles(p, include_fixed=True)))
+    assert p ** k == reference_power(p, k)
+    assert p.inverse() == reference_inverse(p)
+    assert p.is_identity() == all(i == v for i, v in enumerate(p.images))
 
 
 def test_enumerate_trivial_and_cyclic():

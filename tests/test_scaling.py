@@ -16,13 +16,18 @@ The lines _chain and _witness_scan run stand for the chain's Python
 work: a loop that grows with the degree per point or per orbit shows in
 their ratio.  zel() runs the same witness scan, so it is held to the
 same pair counts.
+
+A permutation's cycle queries (cycles, order, **, is_identity, str) walk
+only its moved points, so building, printing and powering a group of
+sparse generators runs as many perm.py lines at any degree.
 """
 
 import random
 import sys
 
-from twoclosure import decider
+from twoclosure import decider, perm
 from twoclosure.decider import decide_2_closed
+from twoclosure.groupfile import serialize_group
 from twoclosure.perm import PermGroup, Permutation
 
 BOUND = 2.5
@@ -47,10 +52,9 @@ def _decide_closed(group):
     assert decide_2_closed(group)[0]
 
 
-def _chain_lines(group):
-    """The number of lines _chain and its witness scan run to decide the group."""
+def _lines(counted, run):
+    """The number of lines run() runs in the code objects that counted accepts."""
     lines = 0
-    counted = {decider._chain.__code__, decider._witness_scan.__code__}
 
     def count(frame, event, arg):
         nonlocal lines
@@ -59,14 +63,36 @@ def _chain_lines(group):
         return count
 
     def enter(frame, event, arg):
-        return count if frame.f_code in counted else None
+        return count if counted(frame.f_code) else None
 
     sys.settrace(enter)
     try:
-        _decide_closed(group)
+        run()
     finally:
         sys.settrace(None)
     return lines
+
+
+def _chain_lines(group):
+    """The number of lines _chain and its witness scan run to decide the group."""
+    counted = {decider._chain.__code__, decider._witness_scan.__code__}
+    return _lines(counted.__contains__, lambda: _decide_closed(group))
+
+
+def _sparse_perm_lines(n):
+    """The number of perm.py lines run to build a group of three
+    transpositions on n points, print it, and take each generator's order
+    and cube."""
+    gens = [Permutation.from_cycles(n, [pair]) for pair in ((0, n - 1), (1, n // 2), (n // 3, n // 3 + 1))]
+
+    def run():
+        group = PermGroup(n, gens)
+        serialize_group(group)
+        for g in group.generators:
+            g.order()
+            g ** 3
+
+    return _lines(lambda code: code.co_filename == perm.__file__, run)
 
 
 def _index_calls(monkeypatch, run, group):
@@ -119,3 +145,8 @@ def test_diag_z2_scales_about_linearly():
 def test_indep_z2_scales_about_linearly():
     ratio = _chain_lines(_blocks(400, "indep")) / _chain_lines(_blocks(200, "indep"))
     assert ratio < BOUND, ratio
+
+
+def test_sparse_permutations_cost_their_support_not_their_degree():
+    small, big = _sparse_perm_lines(20_000), _sparse_perm_lines(40_000)
+    assert big < 1_000 and big == small, (small, big)
