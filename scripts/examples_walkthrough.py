@@ -9,30 +9,37 @@ Usage: python scripts/examples_walkthrough.py [--primes 2 3]
 """
 
 import argparse
+import math
 
 from twoclosure import zel
 from twoclosure.cli import render_step
+from twoclosure.coloring import orb2, preserves
 from twoclosure.decider import decide_2_closed
 from twoclosure.fixtures import fixture_example1, fixture_example2
 from twoclosure.oracle import MAX_ORACLE_DEGREE, closure_order, two_closure
 
 
 def show(name, group):
-    print(f"== {name}: degree {group.degree}, order {group.order()}, "
+    closed, trace = decide_2_closed(group)
+    print(f"== {name}: degree {group.degree}, order {trace.steps[0].order}, "
           f"orbit sizes {group.orbits().sizes()}")
     for g in group.generators:
         print(f"   gen {g}")
     z = zel(group)
-    print(f"   zel: order {z.order()}"
+    # one zel generator per orbit, on disjoint point sets
+    z_order = math.prod(g.order() for g in z.generators)
+    print(f"   zel: order {z_order}"
           + ("" if z.is_trivial() else f", inside the group: {z.is_subgroup_of(group)}"))
-    closed, trace = decide_2_closed(group)
     for step in trace.steps:
         print(f"   {render_step(step)}")
     print(f"   verdict: {'2-closed' if closed else 'not 2-closed'}")
     if group.degree <= MAX_ORACLE_DEGREE:
-        closure = two_closure(group)
-        print(f"   oracle closure: order {closure_order(closure)}"
-              f" (equals zel: {closure.elements() == z.elements()})")
+        order = closure_order(two_closure(group))
+        # zel lies in the closure iff its generators keep every pair color;
+        # a subgroup of equal order is the whole closure
+        coloring = orb2(group)
+        equal = order == z_order and all(preserves(coloring, g) for g in z.generators)
+        print(f"   oracle closure: order {order} (equals zel: {equal})")
     else:
         print("   oracle closure: degree beyond search bound, skipped")
     print()

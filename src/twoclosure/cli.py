@@ -183,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ValueError covers ParseError, InvalidPermutation, PreconditionFailed and NotPrime.
+# ValueError covers ParseError, InvalidPermutation, PreconditionFailed, NotPrime
+# and ColoringTooLarge.
 _EXPECTED_ERRORS = (CapExceeded, BudgetExceeded, ValueError, OSError)
 
 

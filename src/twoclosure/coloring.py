@@ -11,6 +11,15 @@ from __future__ import annotations
 
 from .perm import Frozen, Permutation, PermGroup
 
+# The most points orb2 colors: its matrix holds degree^2 cells, 4.2 million
+# at this bound, so a group file's own limit of 10^6 points would ask for
+# 10^12.
+MAX_COLORING_DEGREE = 2048
+
+
+class ColoringTooLarge(ValueError):
+    """The group's degree is above MAX_COLORING_DEGREE."""
+
 
 class PairColoring(Frozen):
     """An n x n matrix of color ids; cell (i, j) colors the ordered pair (i, j)."""
@@ -45,8 +54,14 @@ def orb2(group: PermGroup) -> PairColoring:
     it seeds a fresh color, which is then spread over its orbit under the
     generators.  Diagonal pairs and off-diagonal pairs can never share an
     orbit, so the diagonal colors are exactly the colors of fixed pairs.
+    The degree is checked against MAX_COLORING_DEGREE before the matrix
+    is allocated.
     """
     n = group.degree
+    if n > MAX_COLORING_DEGREE:
+        raise ColoringTooLarge(
+            f"degree {n} exceeds the pair coloring bound {MAX_COLORING_DEGREE}"
+        )
     matrix = [[-1] * n for _ in range(n)]
     gens = group.generators
     next_color = 0

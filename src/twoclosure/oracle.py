@@ -3,13 +3,17 @@
 The closure of a group G is the set of ALL permutations preserving the
 pair coloring of G; it is the largest group with the same orbits on
 ordered pairs, and G is closed iff it equals its closure.  The search
-finds generators of the closure along the base 0, 1, ..., n-1: for each
-point and each image the generators found so far do not already reach,
-one depth-first search for a single coloring-preserving permutation,
-pruned with per-point color profiles and prefix consistency.  Its cost
-follows the number of images tried, not the order of the closure.  It is
-the independent referee for the structural decision procedure:
-exponential in the worst case, honest, and bounded by SearchLimits.
+finds generators of the closure along the base 0, 1, ..., n-1.  At each
+point, the prefix before it is fixed, so one comparison of row and
+column slices against that prefix rejects most of its images at once
+(the first step of individualise-and-refine; McKay and Piperno, 2014).
+Each image that survives and that the generators found so far do not
+already reach starts one depth-first search for a single
+coloring-preserving permutation, pruned with per-point color profiles
+and prefix consistency.  Its cost follows the number of images tried,
+not the order of the closure.  It is the independent referee for the
+structural decision procedure: exponential in the worst case, honest,
+and bounded by SearchLimits.
 """
 
 from __future__ import annotations
@@ -59,28 +63,36 @@ def color_automorphisms(coloring: PairColoring, limits: SearchLimits = SearchLim
     generators then generate the pointwise stabilizer of 0..i-1, so the
     group's order is the product of the orbit lengths over all levels.
 
-    A point's candidate images are precomputed from an invariant profile
-    (diagonal color plus the multisets of its row and column colors); a
-    candidate survives only if every pair it forms with the points
-    already placed, the fixed prefix included, keeps its color both ways.
-    Every candidate image tried costs one node against the budget.
+    A point's candidate images share its invariant profile (diagonal
+    color plus the multisets of its row and column colors); a candidate
+    survives only if every pair it forms with the points already placed,
+    the fixed prefix included, keeps its color both ways.  At level i
+    that test against the prefix 0..i-1 is two slice comparisons, row v
+    against row i and column v against column i, so a level's images are
+    filtered before any search starts.  The filter changes neither the
+    generators nor the node count.  A rejected image's search would fail
+    at once; and the generators found so far fix 0..i-1 and keep every
+    color, so the orbit of a rejected image holds only rejected images,
+    and the reached and unreachable sets never needed them.  Every
+    candidate image tried costs one node against the budget: a level's
+    images v >= i are charged together when it starts, so the search
+    exceeds a budget exactly when one search per image would.
     """
     n = coloring.degree
     _check_degree(n, limits)
     m = coloring.matrix
+    cols = tuple(zip(*m))
 
-    profiles = [
-        (m[i][i], tuple(sorted(m[i])), tuple(sorted(row[i] for row in m)))
-        for i in range(n)
-    ]
-    candidates = [
-        tuple(j for j in range(n) if profiles[j] == profiles[i]) for i in range(n)
-    ]
+    profiles = [(m[i][i], tuple(sorted(m[i])), tuple(sorted(cols[i]))) for i in range(n)]
+    cells: dict[tuple, list[int]] = {}
+    for i, profile in enumerate(profiles):
+        cells.setdefault(profile, []).append(i)
+    candidates = [cells[profile] for profile in profiles]
     nodes = 0
 
-    def tick() -> None:
+    def tick(count: int = 1) -> None:
         nonlocal nodes
-        nodes += 1
+        nodes += count
         if nodes > limits.max_nodes:
             raise BudgetExceeded(f"search exceeded node budget {limits.max_nodes}")
 
@@ -94,20 +106,20 @@ def color_automorphisms(coloring: PairColoring, limits: SearchLimits = SearchLim
 
     def extend(i: int, v: int) -> Permutation | None:
         """One permutation fixing 0..i-1, mapping i to v and keeping every
-        color, or None.  Points i+1.. are placed in order; next_index[k]
-        is where point k's scan of its candidates resumes on backtracking.
+        color, or None; v already keeps its colors with 0..i-1.  Points
+        i+1.. are placed in order; next_index[k] is where point k's scan
+        of its candidates resumes on backtracking.
         """
         image = list(range(n))
-        if not fits(image, i, v):
-            return None
         image[i] = v
-        used = [t < i for t in range(n)]
+        used = [True] * i + [False] * (n - i)
         used[v] = True
         next_index = [0] * n
         k = i + 1
         while k > i:
             if k == n:
-                return Permutation(tuple(image))
+                # every point got an image not used before: a bijection
+                return Permutation._unchecked(tuple(image))
             cands = candidates[k]
             j = next_index[k]
             if j:
@@ -132,12 +144,12 @@ def color_automorphisms(coloring: PairColoring, limits: SearchLimits = SearchLim
 
     gens: list[Permutation] = []
     for i in reversed(range(n)):
+        cell = candidates[i]
+        tick(len(cell) - cell.index(i))  # the images v >= i; cells ascend
+        row, col = m[i][:i], cols[i][:i]
         reached = {i}
         unreachable: set[int] = set()
-        for v in candidates[i]:
-            if v < i:
-                continue
-            tick()
+        for v in [v for v in cell if v > i and m[v][:i] == row and cols[v][:i] == col]:
             if v in reached or v in unreachable:
                 continue
             g = extend(i, v)
@@ -167,7 +179,9 @@ def _orbit(points: set[int], gens: list[Permutation]) -> set[int]:
 def two_closure(group: PermGroup, limits: SearchLimits = SearchLimits()) -> PermGroup:
     """The largest group with the same pair orbits as ``group``.
 
-    The degree bound is checked before the n x n pair coloring is built.
+    The degree bound is checked before the n x n pair coloring is built;
+    orb2 itself refuses a degree above coloring.MAX_COLORING_DEGREE,
+    whatever the limits.
     """
     _check_degree(group.degree, limits)
     return PermGroup(group.degree, color_automorphisms(orb2(group), limits))

@@ -197,6 +197,103 @@ def reference_automorphisms(coloring):
     return frozenset(found)
 
 
+def reference_color_automorphisms(coloring):
+    """oracle.color_automorphisms as the library searched before it
+    filtered a level's images by their prefix: one depth-first search
+    started per image not yet reached or known unreachable.  Returns the
+    generators and the nodes the search tried, with no degree or node
+    bound.
+    """
+    n = coloring.degree
+    m = coloring.matrix
+
+    profiles = [
+        (m[i][i], tuple(sorted(m[i])), tuple(sorted(row[i] for row in m)))
+        for i in range(n)
+    ]
+    candidates = [
+        tuple(j for j in range(n) if profiles[j] == profiles[i]) for i in range(n)
+    ]
+    nodes = 0
+
+    def tick():
+        nonlocal nodes
+        nodes += 1
+
+    def fits(image, k, v):
+        row_k, row_v = m[k], m[v]
+        for t in range(k):
+            it = image[t]
+            if row_k[t] != row_v[it] or m[t][k] != m[it][v]:
+                return False
+        return True
+
+    def extend(i, v):
+        image = list(range(n))
+        if not fits(image, i, v):
+            return None
+        image[i] = v
+        used = [t < i for t in range(n)]
+        used[v] = True
+        next_index = [0] * n
+        k = i + 1
+        while k > i:
+            if k == n:
+                return Permutation(tuple(image))
+            cands = candidates[k]
+            j = next_index[k]
+            if j:
+                used[image[k]] = False
+            while j < len(cands):
+                w = cands[j]
+                j += 1
+                if used[w]:
+                    continue
+                tick()
+                if fits(image, k, w):
+                    break
+            else:
+                next_index[k] = 0
+                k -= 1
+                continue
+            next_index[k] = j
+            image[k] = w
+            used[w] = True
+            k += 1
+        return None
+
+    def orbit(points, gens):
+        out = set(points)
+        stack = list(points)
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = g.images[x]
+                if y not in out:
+                    out.add(y)
+                    stack.append(y)
+        return out
+
+    gens = []
+    for i in reversed(range(n)):
+        reached = {i}
+        unreachable = set()
+        for v in candidates[i]:
+            if v < i:
+                continue
+            tick()
+            if v in reached or v in unreachable:
+                continue
+            g = extend(i, v)
+            if g is None:
+                unreachable |= orbit({v}, gens)
+            else:
+                gens.append(g)
+                reached = orbit({i}, gens)
+                unreachable = orbit(unreachable, gens)
+    return tuple(gens), nodes
+
+
 def stack_depth():
     """Frames on the interpreter stack, this function's own included."""
     depth = 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoclosure import decider
+from twoclosure import coloring, decider
 from twoclosure.cli import main
 from twoclosure.coloring import orb2
 from twoclosure.decider import zel
@@ -194,6 +194,30 @@ def test_orb2_output(tmp_path, capsys):
     assert code == 0
     g = parse_group("degree 4\ngen (0 1 2 3)\n")
     assert out == orb2(g).render() + "\n"
+
+
+def test_orb2_degree_bound_is_checked_before_the_matrix(monkeypatch, tmp_path, capsys):
+    # the n x n matrix of a huge group must never be allocated; a group one
+    # point above the bound keeps a missing check cheap, and its generators
+    # are read only after the matrix is built
+    class AboveTheBound:
+        degree = coloring.MAX_COLORING_DEGREE + 1
+
+        @property
+        def generators(self):
+            raise AssertionError("orb2 built a matrix above the degree bound")
+
+    with pytest.raises(coloring.ColoringTooLarge):
+        orb2(AboveTheBound())
+    path = write_group(tmp_path, "wide.grp", f"degree {AboveTheBound.degree}\ngen (0 1)\n")
+    code, out, err = run(capsys, "orb2", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "exceeds the pair coloring bound" in err
+    # the bound itself is colored
+    monkeypatch.setattr(coloring, "MAX_COLORING_DEGREE", 4)
+    assert orb2(PermGroup.trivial(4)).num_colors == 16
+    with pytest.raises(coloring.ColoringTooLarge):
+        orb2(PermGroup.trivial(5))
 
 
 def test_example_subcommands_emit_parseable_fixtures(capsys):

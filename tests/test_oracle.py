@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian_instances, perm_groups, reference_automorphisms, stack_depth
+from conftest import (
+    abelian_instances,
+    perm_groups,
+    reference_automorphisms,
+    reference_color_automorphisms,
+    stack_depth,
+)
 from twoclosure import oracle
 from twoclosure.cli import main
 from twoclosure.coloring import PairColoring, orb2, preserves
@@ -135,6 +141,67 @@ _BACKTRACKING_GRAPH = PairColoring((
 @example(_BACKTRACKING_GRAPH)
 def test_generators_match_reference_on_arbitrary_colorings(c):
     assert_generates_reference(c)
+
+
+def assert_matches_reference_search(c):
+    """The search returns the reference's generator tuple, succeeds within
+    the reference's node count and exceeds one node fewer."""
+    gens, nodes = reference_color_automorphisms(c)
+    limits = SearchLimits(max_degree=c.degree, max_nodes=nodes)
+    assert color_automorphisms(c, limits) == gens
+    if c.degree:  # every level of a nonempty coloring tries its own point
+        with pytest.raises(BudgetExceeded):
+            color_automorphisms(c, limits._replace(max_nodes=nodes - 1))
+
+
+@pytest.mark.parametrize("make", [fixture_example1, fixture_example2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_search_matches_reference_search_on_fixtures(make, p):
+    assert_matches_reference_search(orb2(make(p)))
+
+
+def test_search_matches_reference_search_on_pools(sweep_pool, coupled_pool):
+    regular = [random_regular_abelian(seed, 12) for seed in range(100)]
+    for g in sweep_pool + coupled_pool + regular:
+        assert_matches_reference_search(orb2(g))
+
+
+@settings(deadline=None, max_examples=200)
+@given(colorings())
+@example(_BACKTRACKING_GRAPH)
+def test_search_matches_reference_search_on_arbitrary_colorings(c):
+    assert_matches_reference_search(c)
+
+
+def _extend_calls(c, limits):
+    """The generators the search finds and the number of depth-first
+    searches it starts, one per entry into its extend()."""
+    calls = 0
+
+    def enter(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if code.co_name == "extend" and code.co_filename == oracle.__file__:
+            calls += 1
+
+    sys.settrace(enter)
+    try:
+        gens = color_automorphisms(c, limits)
+    finally:
+        sys.settrace(None)
+    return gens, calls
+
+
+@pytest.mark.parametrize("make, p", [
+    (fixture_example1, 11), (fixture_example1, 23), (fixture_example2, 7), (fixture_example2, 13),
+])
+def test_search_starts_once_per_generator(make, p):
+    # a search started for every unreached image enters extend() 138, 696,
+    # 111 and 435 times here; the prefix filter leaves only the images that
+    # become generators
+    g = make(p)
+    gens, calls = _extend_calls(orb2(g), SearchLimits(max_degree=g.degree))
+    assert calls == len(gens) == 3
 
 
 def indep(*sizes):
