@@ -3,7 +3,7 @@
 
 For each prime this prints the group's shape, the zel subgroup, the
 reduction trace, and (within oracle bounds) the brute-force closure, so
-the whole pipeline can be eyeballed at once.
+the whole pipeline can be eyeballed at once.  No group is enumerated.
 
 Usage: python scripts/examples_walkthrough.py [--primes 2 3]
 """
@@ -14,7 +14,7 @@ import math
 from twoclosure import zel
 from twoclosure.cli import render_step
 from twoclosure.coloring import orb2, preserves
-from twoclosure.decider import decide_2_closed
+from twoclosure.decider import ZEL_NOT_INSIDE, ZEL_REDUCE, decide_2_closed
 from twoclosure.fixtures import fixture_example1, fixture_example2
 from twoclosure.oracle import MAX_ORACLE_DEGREE, closure_order, two_closure
 
@@ -28,8 +28,14 @@ def show(name, group):
     z = zel(group)
     # one zel generator per orbit, on disjoint point sets
     z_order = math.prod(g.order() for g in z.generators)
-    print(f"   zel: order {z_order}"
-          + ("" if z.is_trivial() else f", inside the group: {z.is_subgroup_of(group)}"))
+    if z.is_trivial():
+        print(f"   zel: order {z_order}")
+    else:
+        # on these p-groups with a nontrivial zel, the step after Validate
+        # tests zel(G) <= G, and ZelNotInside is its failure
+        decided = trace.steps[1].kind
+        assert decided in (ZEL_REDUCE, ZEL_NOT_INSIDE), decided
+        print(f"   zel: order {z_order}, inside the group: {decided != ZEL_NOT_INSIDE}")
     for step in trace.steps:
         print(f"   {render_step(step)}")
     print(f"   verdict: {'2-closed' if closed else 'not 2-closed'}")

@@ -9,7 +9,9 @@ so two colorings describe the same partition iff their matrices are equal.
 
 from __future__ import annotations
 
-from .perm import Frozen, Permutation, PermGroup
+from typing import NamedTuple
+
+from .perm import Permutation, PermGroup
 
 # The most points orb2 colors: its matrix holds degree^2 cells, 4.2 million
 # at this bound, so a group file's own limit of 10^6 points would ask for
@@ -21,13 +23,10 @@ class ColoringTooLarge(ValueError):
     """The group's degree is above MAX_COLORING_DEGREE."""
 
 
-class PairColoring(Frozen):
+class PairColoring(NamedTuple):
     """An n x n matrix of color ids; cell (i, j) colors the ordered pair (i, j)."""
 
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "matrix", matrix)
+    matrix: tuple[tuple[int, ...], ...]
 
     @property
     def degree(self) -> int:
@@ -84,15 +83,14 @@ def orb2(group: PermGroup) -> PairColoring:
 
 
 def preserves(coloring: PairColoring, perm: Permutation) -> bool:
-    """True iff the permutation maps every pair to a pair of the same color."""
+    """True iff the permutation maps every pair to a pair of the same color.
+
+    Row by row: the cells (i, j) keep their colors iff row i equals row
+    im[i] read at the images im[j].
+    """
     if perm.degree != coloring.degree:
         raise ValueError(
             f"degree mismatch: coloring {coloring.degree} vs permutation {perm.degree}"
         )
-    m = coloring.matrix
-    im = perm.images
-    return all(
-        m[i][j] == m[im[i]][im[j]]
-        for i in range(perm.degree)
-        for j in range(perm.degree)
-    )
+    m, im = coloring.matrix, perm.images
+    return all(row == tuple(map(m[v].__getitem__, im)) for row, v in zip(m, im))

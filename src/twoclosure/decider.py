@@ -102,7 +102,7 @@ class ReductionTrace(NamedTuple):
     verdict: bool
 
 
-class _Orbit:
+class _Orbit(NamedTuple):
     """One orbit in coordinates.
 
     ``points[c]`` is the label of the point at coordinate c, and
@@ -110,12 +110,9 @@ class _Orbit:
     every coordinate.
     """
 
-    __slots__ = ("size", "points", "shifts")
-
-    def __init__(self, size: int, points: list[int], shifts: list[int]):
-        self.size = size
-        self.points = points
-        self.shifts = shifts
+    size: int
+    points: list[int]
+    shifts: list[int]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

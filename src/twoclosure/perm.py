@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 from operator import ne
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 DEFAULT_CAP = 1_000_000
 
@@ -52,46 +52,13 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Frozen:
-    """Base of the slotted value types: a record of the fields in its
-    subclass's ``__slots__``, set once in ``__init__`` through
-    ``object.__setattr__``.  Values compare, hash, print and pickle by
-    their fields; assigning or deleting a field raises AttributeError.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Permutation(Frozen):
+class Permutation:
     """A bijection of {0..n-1}; ``images[i]`` is where point ``i`` goes.
 
     Composition is "left first": ``(p * q)(i) == q(p(i))``, matching the
     exponent convention on points, ``i^(pq) = (i^p)^q``.  This is the one
-    global convention.  Permutations order by ``images``.
+    global convention.  Permutations order by ``images``; ``images`` is set
+    once, and assigning or deleting it raises AttributeError.
     """
 
     __slots__ = ("images",)
@@ -146,6 +113,15 @@ class Permutation(Frozen):
     def __ge__(self, other):
         return self.images >= other.images if other.__class__ is self.__class__ else NotImplemented
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Permutation, (self.images,)
+
     @staticmethod
     def identity(degree: int) -> Permutation:
         return Permutation(tuple(range(degree)))
@@ -171,9 +147,10 @@ class Permutation(Frozen):
         return self.images[point]
 
     def __mul__(self, other: Permutation) -> Permutation:
-        if other.degree != self.degree:
+        if len(other.images) != len(self.images):
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return Permutation(tuple(other.images[v] for v in self.images))
+        # a product of bijections is one
+        return Permutation._unchecked(tuple(map(other.images.__getitem__, self.images)))
 
     def __pow__(self, k: int) -> Permutation:
         images = list(range(self.degree))
@@ -220,21 +197,27 @@ class Permutation(Frozen):
         return f"Permutation({self.images!r})"
 
 
-class OrbitPartition(Frozen):
+class _PartitionFields(NamedTuple):
+    classes: tuple[tuple[int, ...], ...]
+    point_to_class: tuple[int, ...]
+
+
+class OrbitPartition(_PartitionFields):
     """The orbits of a group as a partition of {0..n-1}.
 
     Classes are sorted internally and listed in order of their minimal
-    point, so partitions compare and render deterministically.
+    point, so partitions compare and render deterministically.  ``len``
+    is the number of classes.
     """
 
-    __slots__ = ("classes", "point_to_class")
-
-    def __init__(self, classes: tuple[tuple[int, ...], ...], point_to_class: tuple[int, ...]):
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "point_to_class", point_to_class)
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.classes)
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _make checks len(); _replace builds through it
+        return cls(*iterable)
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
@@ -249,7 +232,7 @@ class PermGroup:
     empty generator list is the trivial group, and degree 0 is legal.
     """
 
-    __slots__ = ("degree", "generators", "_elements", "_orbit_cache")
+    __slots__ = ("degree", "generators", "_elements")
 
     def __init__(self, degree: int, generators: Iterable = ()):
         if degree < 0:
@@ -270,7 +253,6 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._elements: Optional[frozenset[Permutation]] = None
-        self._orbit_cache: Optional[OrbitPartition] = None
 
     @staticmethod
     def trivial(degree: int) -> PermGroup:
@@ -345,8 +327,6 @@ class PermGroup:
 
     def orbits(self) -> OrbitPartition:
         """The orbit partition of the point set, classes ordered by minimal point."""
-        if self._orbit_cache is not None:
-            return self._orbit_cache
         n, gens = self.degree, [g.images for g in self.generators]
         assigned = [-1] * n
         classes = []
@@ -363,8 +343,7 @@ class PermGroup:
                         assigned[y] = idx
                         orbit.append(y)
             classes.append(tuple(sorted(orbit)))
-        self._orbit_cache = OrbitPartition(tuple(classes), tuple(assigned))
-        return self._orbit_cache
+        return OrbitPartition(tuple(classes), tuple(assigned))
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1

@@ -160,6 +160,12 @@ def reference_power(perm, k):
     return result
 
 
+def reference_preserves(coloring, perm):
+    """``coloring.preserves`` cell by cell: every pair (i, j) keeps its color."""
+    m, im = coloring.matrix, perm.images
+    return all(m[i][j] == m[im[i]][im[j]] for i in range(len(im)) for j in range(len(im)))
+
+
 def reference_automorphisms(coloring):
     """Every permutation preserving the coloring, one search leaf each, as
     the oracle found them before it searched for generators.  Points get

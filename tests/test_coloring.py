@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import perm_groups
+from conftest import abelian_instances, perm_groups, permutations, reference_preserves
 from twoclosure.coloring import orb2, preserves
 from twoclosure.fixtures import fixture_example1
 from twoclosure.oracle import two_closure
@@ -142,3 +143,17 @@ def test_canonical_ids_first_appear_in_order(g):
         for value in row:
             assert value <= seen_max + 1
             seen_max = max(seen_max, value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(perm_groups(max_degree=6, max_gens=3), abelian_instances(max_degree=12)), st.data())
+def test_preserves_agrees_with_cell_by_cell_definition(g, data):
+    c = orb2(g)
+    # a word in the closure's generators preserves the coloring
+    word = data.draw(st.lists(st.sampled_from((g.identity(), *two_closure(g).generators)), max_size=4))
+    preserving = g.identity()
+    for x in word:
+        preserving = preserving * x
+    arbitrary = data.draw(permutations(g.degree))
+    assert preserves(c, preserving) and reference_preserves(c, preserving)
+    assert preserves(c, arbitrary) == reference_preserves(c, arbitrary)

@@ -1,11 +1,14 @@
 """The scripts under scripts/ still run against the current library."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from twoclosure.perm import PermGroup
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +33,17 @@ def test_script_exits_zero(argv):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_walkthrough_enumerates_no_group(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("the walkthrough enumerated a group")
+
+    monkeypatch.setattr(PermGroup, "elements", refuse)
+    monkeypatch.setattr(sys, "argv", ["examples_walkthrough.py", "--primes", "2", "3", "5"])
+    path = ROOT / "scripts" / "examples_walkthrough.py"
+    spec = importlib.util.spec_from_file_location("examples_walkthrough", path)
+    walkthrough = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(walkthrough)
+    walkthrough.main()
+    assert capsys.readouterr().out.count("inside the group: False") == 3
