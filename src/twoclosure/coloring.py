@@ -9,6 +9,8 @@ so two colorings describe the same partition iff their matrices are equal.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import ne
 from typing import NamedTuple
 
 from .perm import Permutation, PermGroup
@@ -51,31 +53,45 @@ def orb2(group: PermGroup) -> PairColoring:
 
     Pairs (i, j) are scanned row-major; each time an uncolored pair is hit
     it seeds a fresh color, which is then spread over its orbit under the
-    generators.  Diagonal pairs and off-diagonal pairs can never share an
-    orbit, so the diagonal colors are exactly the colors of fixed pairs.
-    The degree is checked against MAX_COLORING_DEGREE before the matrix
-    is allocated.
+    generators that move a point of i's orbit or of j's: one that fixes
+    both orbits pointwise fixes every pair between them.  Diagonal pairs
+    and off-diagonal pairs can never share an orbit, so the diagonal
+    colors are exactly the colors of fixed pairs.  The degree is checked
+    against MAX_COLORING_DEGREE before anything is allocated.
     """
     n = group.degree
     if n > MAX_COLORING_DEGREE:
         raise ColoringTooLarge(
             f"degree {n} exceeds the pair coloring bound {MAX_COLORING_DEGREE}"
         )
+    part = group.orbits()
+    orbit_of, gens = part.point_to_class, [g.images for g in group.generators]
+    moving = [[] for _ in part.classes]  # moving[d]: the generators moving orbit d
+    for images in gens:
+        for d in set(map(orbit_of.__getitem__, compress(range(n), map(ne, images, range(n))))):
+            moving[d].append(images)
     matrix = [[-1] * n for _ in range(n)]
-    gens = group.generators
     next_color = 0
-    for i in range(n):
+    for i, row in enumerate(matrix):
+        mine, spreads = moving[orbit_of[i]], {}  # spreads: by the orbit of j, once per row
         for j in range(n):
-            if matrix[i][j] != -1:
+            if row[j] != -1:
                 continue
-            color = next_color
+            row[j] = color = next_color
             next_color += 1
-            matrix[i][j] = color
+            spread = moving[orbit_of[j]]
+            if mine and spread is not mine:
+                e = orbit_of[j]
+                if e not in spreads:
+                    spreads[e] = mine + [g for g in spread if g not in mine]
+                spread = spreads[e]
+            if not spread:  # both orbits fixed pointwise: the pair is its own orbit
+                continue
             stack = [(i, j)]
             while stack:
                 a, b = stack.pop()
-                for g in gens:
-                    x, y = g.images[a], g.images[b]
+                for images in spread:
+                    x, y = images[a], images[b]
                     if matrix[x][y] == -1:
                         matrix[x][y] = color
                         stack.append((x, y))

@@ -34,12 +34,16 @@ each step of the chain is integer arithmetic on those vectors:
   OrbitRemoval coordinate D dropped; |G| stays, since a trivial zel
                leaves no element that fixes every other orbit
 
-Point labels are kept per coordinate, so the steps report the same
-orbits and sizes as the group they describe.  Each orbit is walked once,
-along a generator (or product of generator powers) that runs through
-it, and the witness scan, which zel() shares with the chain, pairs only
-orbits that share a generator, so the cost of either is about linear in
-the degree and the number of nonzero shifts.
+The vectors are held by orbit and sparse: _Coordinates keeps parallel
+lists, indexed by orbit in order of minimal point, of the sizes, the
+points in coordinate order (so the steps report the orbits of the group
+they describe) and the rows, each orbit's nonzero shifts as ascending
+(generator, shift) pairs, equal rows sharing one tuple.  Each orbit is
+walked once, along a generator (or product of generator powers) that
+runs through it.  The witness scan, which zel() shares with the chain,
+pairs only orbits that share a generator and computes an index once
+per pair of orbit shapes (size, row), so the cost of either is about
+linear in the degree and the number of nonzero shifts.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import math
 from functools import lru_cache
 from heapq import merge
 from itertools import accumulate, compress
-from operator import ne, or_
+from operator import ne
 from typing import NamedTuple
 
 from .perm import PermGroup, Permutation, prime_factors
@@ -102,17 +106,12 @@ class ReductionTrace(NamedTuple):
     verdict: bool
 
 
-class _Orbit(NamedTuple):
-    """One orbit in coordinates.
+class _Coordinates(NamedTuple):
+    """A group's orbits in coordinates (see the module docstring)."""
 
-    ``points[c]`` is the label of the point at coordinate c, and
-    ``shifts[i]`` is the residue mod ``size`` by which generator i moves
-    every coordinate.
-    """
-
-    size: int
-    points: list[int]
-    shifts: list[int]
+    sizes: list[int]
+    points: list[tuple[int, ...]]
+    rows: list[tuple[tuple[int, int], ...]]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -126,20 +125,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _p_part(n: int, p: int) -> int:
-    pa = 1
-    while n % (pa * p) == 0:
-        pa *= p
-    return pa
-
-
 @lru_cache(maxsize=None)
 def _prime_parts(q: int) -> tuple[tuple[int, int], ...]:
     """(p, p^a) for each prime p dividing q, p^a the p-part of q."""
-    return tuple((p, _p_part(q, p)) for p in prime_factors(q))
+    return tuple((p, math.gcd(q, p ** q.bit_length())) for p in prime_factors(q))
 
 
-def _coordinates(group: PermGroup) -> list[_Orbit]:
+def _coordinates(group: PermGroup) -> _Coordinates:
     """The orbits in coordinates, in order of minimal point.
 
     The constituent generator c on an orbit is the product, over the
@@ -165,10 +157,11 @@ def _coordinates(group: PermGroup) -> list[_Orbit]:
                 first[d] = h
             else:
                 more.setdefault(d, [first[d]]).append(h)
-    orbits = []
+    sizes, walks, rows, seen = [], [], [], {}
     for d, cls in enumerate(part.classes):
-        q, base, shifts = len(cls), cls[0], [0] * len(gens)
+        q, base = len(cls), cls[0]
         sup = more.get(d) or ([first[d]] if first[d] >= 0 else [])
+        shifts = dict.fromkeys(sup, 0)
         for h in sup:
             images, walk = gens[h], [base]
             x = images[base]
@@ -188,17 +181,20 @@ def _coordinates(group: PermGroup) -> list[_Orbit]:
                     raise PreconditionFailed(f"the constituent on the orbit of {base} is not cyclic")
         s = 0
         for p, pa in _prime_parts(q):
-            for h in sup:
-                length = q // math.gcd(shifts[h], q)
+            for v in shifts.values():
+                length = q // math.gcd(v, q)
                 if length % pa == 0:
-                    s += shifts[h] * (length // pa)
+                    s += v * (length // pa)
                     break
+        row = tuple(shifts.items())
         if q > 1 and s % q != 1:
             unit = pow(s, -1, q)
             walk = [walk[s * i % q] for i in range(q)]
-            shifts = [v * unit % q for v in shifts]
-        orbits.append(_Orbit(q, tuple(walk), tuple(shifts)))
-    return orbits
+            row = tuple((h, v * unit % q) for h, v in row)
+        sizes.append(q)
+        walks.append(tuple(walk))
+        rows.append(seen.setdefault(row, row))
+    return _Coordinates(sizes, walks, rows)
 
 
 def _product_walk(cls: tuple[int, ...], gens: list[tuple[int, ...]], sup: list[int]) -> list[int]:
@@ -227,8 +223,8 @@ def _product_walk(cls: tuple[int, ...], gens: list[tuple[int, ...]], sup: list[i
     return walk
 
 
-def _order(orbits: list[_Orbit], extra: tuple[dict[int, int], ...] = ()) -> int:
-    """Order of the group spanned by the shift vectors and the extra rows.
+def _order(coords: _Coordinates, extra: tuple[dict[int, int], ...] = ()) -> int:
+    """Order of the group spanned by the generators' shifts and the extra rows.
 
     Rows are sparse, column -> nonzero residue, and wait in a bucket for
     their first column.  Column by column, an extended gcd folds the rows
@@ -236,11 +232,12 @@ def _order(orbits: list[_Orbit], extra: tuple[dict[int, int], ...] = ()) -> int:
     row leaves over goes to the bucket of its next column.  The order is
     prod |D_j| / pivot_j.
     """
-    sizes = [o.size for o in orbits]
-    waiting: dict[int, list[dict[int, int]]] = {}
-    for row in (*(dict(compress(enumerate(v), v)) for v in zip(*(o.shifts for o in orbits))), *extra):
-        if row:
-            waiting.setdefault(min(row), []).append(row)
+    sizes, rows, waiting = coords.sizes, {}, {}  # rows: generator -> its row, ascending in column
+    for d, row in enumerate(coords.rows):
+        for h, v in row:
+            rows.setdefault(h, {})[d] = v
+    for row in (*rows.values(), *extra):
+        waiting.setdefault(min(row), []).append(row)
     order = 1
     for j, q in enumerate(sizes):
         pivot = {j: q}
@@ -262,7 +259,7 @@ def _order(orbits: list[_Orbit], extra: tuple[dict[int, int], ...] = ()) -> int:
     return order
 
 
-def _sylow_part(orbits: list[_Orbit], p: int) -> list[_Orbit]:
+def _sylow_part(coords: _Coordinates, p: int) -> _Coordinates:
     """The orbits of the Sylow p-part, in order of minimal point.
 
     An orbit of size q = p^a r splits into the r cosets of r Z_q.  The
@@ -271,35 +268,37 @@ def _sylow_part(orbits: list[_Orbit], p: int) -> list[_Orbit]:
     coordinate s of coset j is the one at j + r (s r^-1 mod p^a) in D.
     """
     part = []
-    for o in orbits:
-        pa = _p_part(o.size, p)
-        r = o.size // pa
-        unit = pow(r, -1, pa)
-        shifts = [v % pa for v in o.shifts]
+    for q, points, row in zip(*coords):
+        pa = dict(_prime_parts(q)).get(p, 1)
+        r, unit = q // pa, pow(q // pa, -1, pa)
+        row = tuple((h, v % pa) for h, v in row if v % pa)
         for j in range(r):
-            part.append(_Orbit(pa, [o.points[j + r * (s * unit % pa)] for s in range(pa)], shifts))
-    part.sort(key=lambda o: min(o.points))
-    return part
+            coset = tuple(points[j + r * (s * unit % pa)] for s in range(pa))
+            part.append((min(coset), pa, coset, row))
+    part.sort()  # minimal points are distinct, so they alone decide the order
+    return _Coordinates(*([o[i] for o in part] for i in range(1, 4)))
 
 
-def _index(a: _Orbit, b: _Orbit) -> int:
-    """Index in Z_|a| of the shifts on a of the elements that fix b pointwise.
+def _index(a: tuple[int, tuple], b: tuple[int, tuple]) -> int:
+    """Index in Z_|a| of the shifts on orbit a of the elements that fix
+    orbit b pointwise, for two orbit shapes (size, row).
 
     A two-column echelon over the generators that move a or b: (x, y) is
     the pivot row on b's column, and h generates the first coordinates of
     the lattice vectors whose b-coordinate is zero.
     """
-    h, x, y = a.size, 0, b.size
-    for s, t in compress(zip(a.shifts, b.shifts), map(or_, a.shifts, b.shifts)):
+    (qa, ra), (qb, rb) = a, b
+    h, x, y, on_b = qa, 0, qb, dict(rb)
+    for s, t in (*((s, on_b.pop(i, 0)) for i, s in ra), *((0, t) for t in on_b.values())):
         g, u, w = _xgcd(y, t)
         h = math.gcd(h, ((t // g) * x - (y // g) * s) % h)
         if h == 1:  # a gcd chain that reaches 1 stays there
             return 1
-        x, y = (u * x + w * s) % a.size, g
+        x, y = (u * x + w * s) % qa, g
     return h
 
 
-def _witness_scan(orbits: list[_Orbit]) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
+def _witness_scan(coords: _Coordinates) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
     """For each orbit D, its last witness, or -1, and the (j, _index) pairs
     of index above 1 met on the way down to it.
 
@@ -308,45 +307,47 @@ def _witness_scan(orbits: list[_Orbit]) -> tuple[list[int], list[tuple[tuple[int
     D can be a witness or add to f_D (otherwise _index is 1), so the scan
     walks, from the top down, the orbits moved by D's generators and stops
     at the first witness; a fixed point's witness is the top other orbit.
+    _index reads only the two orbits' shapes, so it runs once per pair of
+    shapes met in one scan.
     """
-    k = len(orbits)
-    # movers[h]: the orbits generator h moves, ascending
-    movers = [list(compress(range(k), column)) for column in zip(*(o.shifts for o in orbits))]
+    shapes = list(zip(coords.sizes, coords.rows))
+    k, movers, memo = len(shapes), {}, {}
+    for j, (_, row) in enumerate(shapes):  # movers[h]: the orbits generator h moves, ascending
+        for h, _ in row:
+            movers.setdefault(h, []).append(j)
     witness, found = [], []
-    for i, o in enumerate(orbits):
-        w, pairs = -1, []
-        if o.size == 1:
-            w = k - 1 if i < k - 1 else k - 2
+    for i, (q, row) in enumerate(shapes):
+        w, pairs, last = -1, [], i
+        if q == 1:
+            w, below = k - 1 if i < k - 1 else k - 2, ()
+        elif len(row) == 1:
+            below = reversed(movers[row[0][0]])
         else:
-            sup = list(compress(range(len(o.shifts)), o.shifts))
-            if len(sup) == 1:
-                below = reversed(movers[sup[0]])
-            else:
-                below = merge(*(reversed(movers[h]) for h in sup), reverse=True)
-            last = i
-            for j in below:
-                if j == last or j == i:
-                    continue
-                last, h = j, _index(o, orbits[j])
-                if h == o.size:
-                    w = j
-                    break
-                if h > 1:
-                    pairs.append((j, h))
+            below = merge(*(reversed(movers[h]) for h, _ in row), reverse=True)
+        for j in below:
+            if j == last or j == i:
+                continue
+            last, key = j, (shapes[i], shapes[j])
+            h = memo.get(key) or memo.setdefault(key, _index(*key))  # an index is never 0
+            if h == q:
+                w = j
+                break
+            if h > 1:
+                pairs.append((j, h))
         witness.append(w)
         found.append(pairs or ())  # no empty list kept per orbit
     return witness, found
 
 
-def _zel_factors(orbits: list[_Orbit], witness: list[int], found: list, lo: int) -> list[int]:
-    """f_D for each orbit D from orbits[lo] on, once the orbits below lo are
-    gone: |D| if a witness of D is left, else the lcm of the indices of the
+def _zel_factors(coords: _Coordinates, witness: list[int], found: list, lo: int) -> list[int]:
+    """f_D for each orbit D from lo on, once the orbits below lo are gone:
+    |D| if a witness of D is left, else the lcm of the indices of the
     orbits left."""
-    return [o.size if w >= lo else math.lcm(*(h for j, h in pairs if j >= lo))
-            for o, w, pairs in zip(orbits[lo:], witness[lo:], found[lo:])]
+    return [q if w >= lo else math.lcm(*(h for j, h in pairs if j >= lo))
+            for q, w, pairs in zip(coords.sizes[lo:], witness[lo:], found[lo:])]
 
 
-def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
+def _chain(coords: _Coordinates, order: int, steps: list[Step]) -> bool:
     """Reduce one p-group to its base case, appending the steps taken.
 
     Every orbit size is a power of p, so the zel factor on an orbit D is
@@ -362,10 +363,11 @@ def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
 
     Returns False when the chain ends in ZelNotInside.
     """
-    degree = sum(o.size for o in orbits)
-    while len(orbits) > 1:
-        k = len(orbits)
-        witness, found = _witness_scan(orbits)
+    degree = sum(coords.sizes)
+    while len(coords.sizes) > 1:
+        sizes, points, rows = coords
+        k = len(sizes)
+        witness, found = _witness_scan(coords)
         lowest = list(accumulate(reversed(witness), min))[::-1]  # lowest[i] = min(witness[i:])
         # The minimal point of orbit lo is the least label left, so its new
         # label is 0 and the labels below it are those of the lo orbits
@@ -376,10 +378,10 @@ def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
         marked, tree = bytearray(degree), [0] * ((degree >> 7) + 2)
         top, lo = len(tree), 0
         while lo < k - 1 and lowest[lo] >= lo:
-            points = sorted(orbits[lo].points)
+            removed = sorted(points[lo])
             detail = [0]
-            for n in range(1, len(points)):
-                x = points[n]
+            for n in range(1, len(removed)):
+                x = removed[n]
                 n, i = n - 1 + x - lo - marked.count(1, x & -128, x), x >> 7
                 while i:
                     n -= tree[i]
@@ -391,27 +393,24 @@ def _chain(orbits: list[_Orbit], order: int, steps: list[Step]) -> bool:
                     tree[i] += 1
                     i += i & -i
             steps.append(Step(ORBIT_REMOVAL, degree, order, tuple(detail)))
-            degree -= orbits[lo].size
+            degree -= sizes[lo]
             lo += 1
         if lo == k - 1:
-            orbits = orbits[lo:]
             break
-        zel = _zel_factors(orbits, witness, found, lo)
-        orbits = orbits[lo:]
-        sizes = [o.size for o in orbits]
-        if _order(orbits, tuple({i: f} for i, f in enumerate(zel) if f < sizes[i])) != order:
+        zel = _zel_factors(coords, witness, found, lo)
+        sizes, points, rows = coords = _Coordinates(sizes[lo:], points[lo:], rows[lo:])
+        if _order(coords, tuple({i: f} for i, f in enumerate(zel) if f < sizes[i])) != order:
             steps.append(Step(ZEL_NOT_INSIDE, degree, order))
             return False
-        blocks = sorted(
-            (min(o.points[b::f]), i, b) for i, (o, f) in enumerate(zip(orbits, zel)) for b in range(f)
-        )
+        blocks = sorted((min(pts[b::f]), i, b)
+                        for i, (pts, f) in enumerate(zip(points, zel)) for b in range(f))
         steps.append(Step(ZEL_REDUCE, degree, order, tuple(sizes[i] // zel[i] for _, i, _ in blocks)))
         labels = [[0] * f for f in zel]
         for label, (_, i, b) in enumerate(blocks):
             labels[i][b] = label
-        for q, f in zip(sizes, zel):
-            order //= q // f
-        orbits = [_Orbit(f, pts, [v % f for v in o.shifts]) for o, f, pts in zip(orbits, zel, labels)]
+        order //= math.prod(q // f for q, f in zip(sizes, zel))
+        coords = _Coordinates(zel, list(map(tuple, labels)),
+                              [tuple((h, v % f) for h, v in row if v % f) for row, f in zip(rows, zel)])
         degree = len(blocks)
     steps.append(Step(TRANSITIVE_BASE, degree, order))
     return True
@@ -426,14 +425,14 @@ def decide_2_closed(group: PermGroup) -> tuple[bool, ReductionTrace]:
     cyclic, so no group further down the chain needs the check again.
     Returns the verdict together with the step-by-step trace.
     """
-    orbits = _coordinates(group)
-    order = _order(orbits)
+    coords = _coordinates(group)
+    order = _order(coords)
     steps: list[Step] = [Step(VALIDATE, group.degree, order)]
-    parts = [(orbits, order)]
+    parts = [(coords, order)]
     primes = prime_factors(order)
-    if len(orbits) != 1 and len(primes) != 1:
+    if len(coords.sizes) != 1 and len(primes) != 1:
         steps.append(Step(SYLOW_SPLIT, group.degree, order, primes))
-        parts = ((_sylow_part(orbits, p), _p_part(order, p)) for p in primes)
+        parts = ((_sylow_part(coords, p), math.gcd(order, p ** order.bit_length())) for p in primes)
     # closed iff every part is; the first failing part settles it
     for part, part_order in parts:
         if not _chain(part, part_order, steps):
@@ -452,11 +451,12 @@ def zel(group: PermGroup) -> PermGroup:
     two orbits, where the intersection would be empty and no convention
     is assumed for it.
     """
-    orbits = _coordinates(group)
-    if len(orbits) < 2:
-        raise ValueError(f"zel needs at least two orbits, got {len(orbits)}; "
+    coords = _coordinates(group)
+    if len(coords.sizes) < 2:
+        raise ValueError(f"zel needs at least two orbits, got {len(coords.sizes)}; "
                          "not defined for transitive groups")
     # the residue classes of an orbit's coordinates mod f_D are the cycles of c^f_D
-    gens = [Permutation._unchecked_cycles(group.degree, [o.points[b::f] for b in range(f)])
-            for o, f in zip(orbits, _zel_factors(orbits, *_witness_scan(orbits), 0)) if f < o.size]
+    gens = [Permutation._unchecked_cycles(group.degree, [pts[b::f] for b in range(f)])
+            for q, pts, f in zip(coords.sizes, coords.points, _zel_factors(coords, *_witness_scan(coords), 0))
+            if f < q]
     return PermGroup(group.degree, gens)

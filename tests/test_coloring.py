@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian_instances, perm_groups, permutations, reference_preserves
+from conftest import abelian_instances, perm_groups, permutations, reference_orb2, reference_preserves
+from twoclosure import coloring
 from twoclosure.coloring import orb2, preserves
 from twoclosure.fixtures import fixture_example1
 from twoclosure.oracle import two_closure
@@ -157,3 +158,35 @@ def test_preserves_agrees_with_cell_by_cell_definition(g, data):
     arbitrary = data.draw(permutations(g.degree))
     assert preserves(c, preserving) and reference_preserves(c, preserving)
     assert preserves(c, arbitrary) == reference_preserves(c, arbitrary)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(perm_groups(max_degree=7, max_gens=3), abelian_instances(max_degree=16)))
+def test_orb2_matches_the_spread_over_every_generator(g):
+    assert orb2(g).matrix == reference_orb2(g)
+
+
+def test_orb2_spreads_a_pair_only_over_the_generators_moving_it(monkeypatch):
+    # indep k x Z2: each generator swaps one block, so a pair's orbit is
+    # spread over at most two generators, not all k
+    reads = 0
+
+    class CountedImages(tuple):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            return tuple.__getitem__(self, i)
+
+    k = 30
+    n = 2 * k
+    gens = []
+    for b in range(k):
+        images = list(range(n))
+        images[2 * b], images[2 * b + 1] = 2 * b + 1, 2 * b
+        gens.append(Permutation._unchecked(CountedImages(images)))
+    group = PermGroup(n, gens)
+    partition = group.orbits()
+    monkeypatch.setattr(PermGroup, "orbits", lambda self: partition)  # found here, not counted
+    reads = 0
+    assert coloring.orb2(group).num_colors == k * k + k  # one per block pair, two per block
+    assert reads // 2 <= 2 * n * n, reads  # an application reads two images

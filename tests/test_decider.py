@@ -294,9 +294,11 @@ def test_sylow_part_coordinates_follow_the_points(g):
             while m % p == 0:
                 m //= p
             images = (x ** (m * pow(m, -1, x.order() // m))).images
-            for o in decider._sylow_part(orbits, p):
-                v = o.shifts[i]
-                assert [images[y] for y in o.points] == o.points[v:] + o.points[:v]
+            part = decider._sylow_part(orbits, p)
+            for q, points, row in zip(*part):
+                assert all(0 < v < q for _, v in row)
+                v = dict(row).get(i, 0)  # a generator the row leaves out fixes the orbit
+                assert tuple(images[y] for y in points) == points[v:] + points[:v]
 
 
 def _indep(sizes):

@@ -58,6 +58,14 @@ def test_permutation_rejects_non_bijections():
         Permutation((0, 3, 1))
 
 
+def test_permutation_from_a_list_is_the_one_from_a_tuple():
+    p = Permutation([1, 0, 2])
+    assert p.images == (1, 0, 2)
+    assert p == Permutation((1, 0, 2)) and hash(p) == hash(Permutation((1, 0, 2)))
+    g = PermGroup(3, [p])
+    assert g.order() == 2 and g.orbits().classes == ((0, 1), (2,))
+
+
 def test_from_cycles_validation():
     with pytest.raises(ValueError):
         Permutation.from_cycles(2, [(0, 1, 2)])

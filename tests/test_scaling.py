@@ -15,7 +15,9 @@ of the chain could turn quadratic without changing any trace:
 The lines _chain and _witness_scan run stand for the chain's Python
 work: a loop that grows with the degree per point or per orbit shows in
 their ratio.  zel() runs the same witness scan, so it is held to the
-same pair counts.
+same pair counts.  _index reads only two orbit shapes (size and nonzero
+shifts), and one scan computes it once per pair of shapes it meets, so
+diag Z2, whose orbits all have one shape, calls it once.
 
 A permutation's cycle queries (cycles, order, **, is_identity, str) walk
 only its moved points, so building, printing and powering a group of
@@ -120,6 +122,14 @@ def test_zel_uses_the_same_witness_scan(monkeypatch):
     for k, generators, most in [(400, "indep", 0), (400, "diag", 400)]:
         calls = _index_calls(monkeypatch, decider.zel, _blocks(k, generators))
         assert calls <= most, (generators, k, calls)
+
+
+def test_witness_scan_computes_each_shape_pair_once(monkeypatch):
+    # every orbit of diag Z2 has the same shape (size 2, shifted by the one
+    # generator), so one scan needs one _index call however many orbits
+    for run in (_decide_closed, decider.zel):
+        calls = _index_calls(monkeypatch, run, _blocks(400, "diag"))
+        assert calls <= 2, (run, calls)
 
 
 def test_rank_counts_removed_labels_inside_one_block(monkeypatch):
