@@ -239,9 +239,9 @@ def _order(coords: _Coordinates, extra: tuple[dict[int, int], ...] = ()) -> int:
     for row in (*rows.values(), *extra):
         waiting.setdefault(min(row), []).append(row)
     order = 1
-    for j, q in enumerate(sizes):
-        pivot = {j: q}
-        for row in waiting.pop(j, ()):
+    for j in filter(waiting.__contains__, range(len(sizes))):  # a column no row waits for adds 1
+        pivot = {j: sizes[j]}
+        for row in waiting.pop(j):
             g, s, t = _xgcd(pivot[j], row[j])
             a, b = row[j] // g, pivot[j] // g
             combined, killed = {j: g}, {}
@@ -255,7 +255,7 @@ def _order(coords: _Coordinates, extra: tuple[dict[int, int], ...] = ()) -> int:
             pivot = combined
             if killed:
                 waiting.setdefault(min(killed), []).append(killed)
-        order = order * q // pivot[j]
+        order = order * sizes[j] // pivot[j]
     return order
 
 
