@@ -14,7 +14,8 @@ text, so outputs can be golden-tested and piped back in:
 decide exits 0 when the group is 2-closed, 1 when it is not, 2 on any
 error (including an oracle disagreement, which would mean a bug here).
 decide, zel and closure enumerate no group elements, '# order'
-included: closure prints the generators the oracle's search found, and
+included: closure prints generators of the closure (pairwise from the
+orbit coordinates in the class, the oracle's search's outside it), and
 its order is the product of their basic orbit lengths; zel prints one
 generator per orbit it moves, and its order is the product of their
 orders.

@@ -2,8 +2,9 @@
 
 Scope: permutation groups all of whose transitive constituents are
 cyclic (which forces the group to be abelian).  The procedure never
-computes the closure itself; it only shrinks the instance until a base
-case answers, recording one step per move:
+computes the closure (two_closure does, from the same coordinates, in
+_pairwise_closure); it only shrinks the instance until a base case
+answers, recording one step per move:
 
   Validate        precondition check on the input
   TransitiveBase  transitive (or empty) group: closed, stop
@@ -53,7 +54,7 @@ from functools import lru_cache
 from heapq import merge
 from itertools import accumulate, compress
 from operator import ne
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .perm import PermGroup, Permutation, prime_factors
 
@@ -223,23 +224,19 @@ def _product_walk(cls: tuple[int, ...], gens: list[tuple[int, ...]], sup: list[i
     return walk
 
 
-def _order(coords: _Coordinates, extra: tuple[dict[int, int], ...] = ()) -> int:
-    """Order of the group spanned by the generators' shifts and the extra rows.
+def _echelon(sizes: list[int], rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The pivot rows, by column, of the lattice the rows and the |D_j| e_j span.
 
     Rows are sparse, column -> nonzero residue, and wait in a bucket for
     their first column.  Column by column, an extended gcd folds the rows
     of that bucket, and the vector |D_j| e_j, into one pivot row; what a
-    row leaves over goes to the bucket of its next column.  The order is
-    prod |D_j| / pivot_j.
+    row leaves over goes to the bucket of its next column.  A column no
+    row waits for gets no pivot row: its pivot is |D_j| e_j itself.
     """
-    sizes, rows, waiting = coords.sizes, {}, {}  # rows: generator -> its row, ascending in column
-    for d, row in enumerate(coords.rows):
-        for h, v in row:
-            rows.setdefault(h, {})[d] = v
-    for row in (*rows.values(), *extra):
+    waiting, pivots = {}, {}
+    for row in rows:
         waiting.setdefault(min(row), []).append(row)
-    order = 1
-    for j in filter(waiting.__contains__, range(len(sizes))):  # a column no row waits for adds 1
+    for j in filter(waiting.__contains__, range(len(sizes))):
         pivot = {j: sizes[j]}
         for row in waiting.pop(j):
             g, s, t = _xgcd(pivot[j], row[j])
@@ -255,8 +252,18 @@ def _order(coords: _Coordinates, extra: tuple[dict[int, int], ...] = ()) -> int:
             pivot = combined
             if killed:
                 waiting.setdefault(min(killed), []).append(killed)
-        order = order * sizes[j] // pivot[j]
-    return order
+        pivots[j] = pivot
+    return pivots
+
+
+def _order(coords: _Coordinates, extra: tuple[dict[int, int], ...] = ()) -> int:
+    """Order of the group spanned by the generators' shifts and the extra
+    rows: prod |D_j| / pivot_j over the pivot rows of their echelon."""
+    sizes, rows = coords.sizes, {}  # rows: generator -> its row, ascending in column
+    for d, row in enumerate(coords.rows):
+        for h, v in row:
+            rows.setdefault(h, {})[d] = v
+    return math.prod(sizes[j] // pivot[j] for j, pivot in _echelon(sizes, (*rows.values(), *extra)).items())
 
 
 def _sylow_part(coords: _Coordinates, p: int) -> _Coordinates:
@@ -279,13 +286,14 @@ def _sylow_part(coords: _Coordinates, p: int) -> _Coordinates:
     return _Coordinates(*([o[i] for o in part] for i in range(1, 4)))
 
 
-def _index(a: tuple[int, tuple], b: tuple[int, tuple]) -> int:
-    """Index in Z_|a| of the shifts on orbit a of the elements that fix
-    orbit b pointwise, for two orbit shapes (size, row).
+def _index(a: tuple[int, tuple], b: tuple[int, tuple]) -> tuple[int, int]:
+    """(h, x): h is the index in Z_|a| of the shifts on orbit a of the
+    elements that fix orbit b pointwise, for two orbit shapes (size, row).
 
     A two-column echelon over the generators that move a or b: (x, y) is
     the pivot row on b's column, and h generates the first coordinates of
-    the lattice vectors whose b-coordinate is zero.
+    the lattice vectors whose b-coordinate is zero.  The b-shifts generate
+    Z_|b|, so y ends at 1 and (1, x), (0, h) generate the shifts on (b, a).
     """
     (qa, ra), (qb, rb) = a, b
     h, x, y, on_b = qa, 0, qb, dict(rb)
@@ -293,9 +301,18 @@ def _index(a: tuple[int, tuple], b: tuple[int, tuple]) -> int:
         g, u, w = _xgcd(y, t)
         h = math.gcd(h, ((t // g) * x - (y // g) * s) % h)
         if h == 1:  # a gcd chain that reaches 1 stays there
-            return 1
+            return 1, x
         x, y = (u * x + w * s) % qa, g
-    return h
+    return h, x
+
+
+def _movers(rows: list[tuple[tuple[int, int], ...]]) -> dict[int, list[int]]:
+    """movers[h]: the orbits generator h moves, ascending."""
+    movers = {}
+    for d, row in enumerate(rows):
+        for h, _ in row:
+            movers.setdefault(h, []).append(d)
+    return movers
 
 
 def _witness_scan(coords: _Coordinates) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
@@ -311,10 +328,7 @@ def _witness_scan(coords: _Coordinates) -> tuple[list[int], list[tuple[tuple[int
     shapes met in one scan.
     """
     shapes = list(zip(coords.sizes, coords.rows))
-    k, movers, memo = len(shapes), {}, {}
-    for j, (_, row) in enumerate(shapes):  # movers[h]: the orbits generator h moves, ascending
-        for h, _ in row:
-            movers.setdefault(h, []).append(j)
+    k, movers, memo = len(shapes), _movers(coords.rows), {}
     witness, found = [], []
     for i, (q, row) in enumerate(shapes):
         w, pairs, last = -1, [], i
@@ -328,7 +342,7 @@ def _witness_scan(coords: _Coordinates) -> tuple[list[int], list[tuple[tuple[int
             if j == last or j == i:
                 continue
             last, key = j, (shapes[i], shapes[j])
-            h = memo.get(key) or memo.setdefault(key, _index(*key))  # an index is never 0
+            h, _ = memo.get(key) or memo.setdefault(key, _index(*key))
             if h == q:
                 w = j
                 break
@@ -459,4 +473,39 @@ def zel(group: PermGroup) -> PermGroup:
     gens = [Permutation._unchecked_cycles(group.degree, [pts[b::f] for b in range(f)])
             for q, pts, f in zip(coords.sizes, coords.points, _zel_factors(coords, *_witness_scan(coords), 0))
             if f < q]
+    return PermGroup(group.degree, gens)
+
+
+def _pairwise_closure(group: PermGroup) -> PermGroup:
+    """The 2-closure of a group in the class, from its coordinates.
+
+    Every constituent is regular, so the closure is the x in the product
+    of the Z_|D| whose projection on each pair of orbits D < E lies in the
+    group's (Wielandt, 1969): x_E = b x_D mod c, where _index gives that
+    projection as <(1, b), (0, c)>; orbits that share no generator impose
+    nothing.  Each condition a row breaks runs _echelon on the rows, their
+    residues a first column of size c; the later pivot rows keep it and
+    stay in echelon form, a strong generating set for the base 0..n-1 (an
+    element fixing a point of a regular orbit fixes the orbit).  Raises
+    PreconditionFailed outside the class.
+    """
+    coords = _coordinates(group)
+    shapes, memo = list(zip(coords.sizes, coords.rows)), {}
+    rows = [{d + 1: 1} for d, q in enumerate(coords.sizes) if q > 1]  # orbit d: column d + 1
+    pairs = {(d, e) for ds in _movers(coords.rows).values() for i, d in enumerate(ds) for e in ds[i + 1:]}
+    for d, e in sorted(pairs):
+        key = (shapes[e], shapes[d])
+        c, b = memo.get(key) or memo.setdefault(key, _index(*key))
+        residues = [(row.get(e + 1, 0) - b * row.get(d + 1, 0)) % c for row in rows]
+        if any(residues):
+            augmented = [{0: r, **row} if r else row for r, row in zip(residues, rows)]
+            rows = [pivot for j, pivot in _echelon([c, *coords.sizes], augmented).items() if j]
+    gens = []
+    for row in rows:
+        images = list(range(group.degree))
+        for col, v in row.items():  # coordinate i goes to i + v
+            pts = coords.points[col - 1]
+            for x, y in zip(pts, pts[v:] + pts[:v]):
+                images[x] = y
+        gens.append(Permutation._unchecked(tuple(images)))
     return PermGroup(group.degree, gens)

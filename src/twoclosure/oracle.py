@@ -1,19 +1,19 @@
-"""Brute-force pair-orbit closure, by search over the symmetric group.
+"""The pair-orbit closure: from coordinates in the class, else by search.
 
 The closure of a group G is the set of ALL permutations preserving the
 pair coloring of G; it is the largest group with the same orbits on
-ordered pairs, and G is closed iff it equals its closure.  The search
-finds generators of the closure along the base 0, 1, ..., n-1.  At each
-point, the prefix before it is fixed, so one comparison of row and
-column slices against that prefix rejects most of its images at once
-(the first step of individualise-and-refine; McKay and Piperno, 2014).
-Each image that survives and that the generators found so far do not
-already reach starts one depth-first search for a single
-coloring-preserving permutation, pruned with per-point color profiles
-and prefix consistency.  Its cost follows the number of images tried,
-not the order of the closure.  It is the independent referee for the
-structural decision procedure: exponential in the worst case, honest,
-and bounded by SearchLimits.
+ordered pairs, and G is closed iff it equals its closure.  For a group
+outside the class, two_closure searches for its generators along the
+base 0, 1, ..., n-1.  At each point, the prefix before it is fixed, so
+one comparison of row and column slices against that prefix rejects
+most of its images at once (the first step of individualise-and-refine;
+McKay and Piperno, 2014).  Each image that survives and that the
+generators found so far do not already reach starts one depth-first
+search for a single coloring-preserving permutation, pruned with
+per-point color profiles and prefix consistency.  Its cost follows the
+number of images tried, not the order of the closure.  On every input,
+the search is the independent referee of the structural decision
+procedure: exponential in the worst case, honest, and bounded by SearchLimits.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .coloring import PairColoring, orb2
+from .decider import PreconditionFailed, _pairwise_closure
 from .perm import PermGroup, Permutation
 
 MAX_ORACLE_DEGREE = 14
@@ -34,9 +35,10 @@ class BudgetExceeded(Exception):
 class SearchLimits(NamedTuple):
     """Hard bounds on the closure search.
 
-    max_degree caps the point count up front; max_nodes caps the number of
-    candidate image assignments tried during the search.  Hitting either
-    raises BudgetExceeded rather than returning a partial answer.
+    max_degree caps the point count up front, for two_closure on every
+    input; max_nodes caps the number of candidate image assignments tried
+    during the search, and bounds nothing else.  Hitting either raises
+    BudgetExceeded rather than returning a partial answer.
     """
 
     max_degree: int = MAX_ORACLE_DEGREE
@@ -179,20 +181,26 @@ def _orbit(points: set[int], gens: list[Permutation]) -> set[int]:
 def two_closure(group: PermGroup, limits: SearchLimits = SearchLimits()) -> PermGroup:
     """The largest group with the same pair orbits as ``group``.
 
-    The degree bound is checked before the n x n pair coloring is built;
-    orb2 itself refuses a degree above coloring.MAX_COLORING_DEGREE,
-    whatever the limits.
+    The degree bound is checked first, on every input.  A group in the
+    class (every transitive constituent cyclic) gets its closure from its
+    orbit coordinates (decider._pairwise_closure), without the n x n pair
+    coloring or the search; any other group gets the search's.  Either
+    way the generators are a strong generating set for the base 0..n-1.
     """
     _check_degree(group.degree, limits)
-    return PermGroup(group.degree, color_automorphisms(orb2(group), limits))
+    try:
+        return _pairwise_closure(group)
+    except PreconditionFailed:
+        return PermGroup(group.degree, color_automorphisms(orb2(group), limits))
 
 
 def closure_order(closure: PermGroup) -> int:
     """|closure| for ``two_closure``'s output, without enumerating it.
 
-    Its generators that fix 0..i-1 generate the pointwise stabilizer of
-    0..i-1, a strong generating set for the base 0..n-1, so the order is
-    the product of the basic orbit lengths (Seress, 2003).
+    Its generators, searched or pairwise, that fix 0..i-1 generate the
+    pointwise stabilizer of 0..i-1, a strong generating set for the base
+    0..n-1, so the order is the product of the basic orbit lengths
+    (Seress, 2003).
     """
     order = 1
     stabilizer = closure.generators
@@ -206,6 +214,8 @@ def is_2_closed_oracle(group: PermGroup, limits: SearchLimits = SearchLimits()) 
     """True iff the group already contains every coloring-preserving permutation.
 
     G always lies in its closure, so G is closed iff every closure
-    generator lies in G; only G's elements are enumerated.
+    generator lies in G; only G's elements are enumerated.  The closure is
+    the search's on every input, so the decider's coordinates referee nothing.
     """
-    return two_closure(group, limits).is_subgroup_of(group)
+    _check_degree(group.degree, limits)  # before the n x n pair coloring
+    return PermGroup(group.degree, color_automorphisms(orb2(group), limits)).is_subgroup_of(group)

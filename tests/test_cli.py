@@ -1,5 +1,6 @@
 import io
 import time
+from functools import partial
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoclosure import coloring, decider
+from twoclosure import coloring, decider, oracle
 from twoclosure.cli import main
 from twoclosure.coloring import orb2
 from twoclosure.decider import zel
 from twoclosure.fixtures import fixture_example1, fixture_example2, random_abelian_cyclic
 from twoclosure.groupfile import parse_group, serialize_group
-from twoclosure.perm import PermGroup
+from twoclosure.oracle import SearchLimits, closure_order, color_automorphisms, two_closure
+from twoclosure.perm import PermGroup, Permutation
 
 
 def run(capsys, *argv):
@@ -114,6 +116,43 @@ def test_closure_order_without_enumeration(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "closure", path)
     assert code == 0
     assert out.splitlines()[:2] == ["# order 3628800", "degree 10"]
+
+
+def _indep_z2(k):
+    return PermGroup(2 * k, [Permutation.from_cycles(2 * k, [(2 * i, 2 * i + 1)]) for i in range(k)])
+
+
+@pytest.mark.parametrize("g", [fixture_example1(5), fixture_example2(3), _indep_z2(20)],
+                         ids=["example1(5)", "example2(3)", "indep 20xZ2"])
+def test_closure_of_an_in_class_group_neither_colors_nor_searches(tmp_path, capsys, monkeypatch, g):
+    # the default degree bound of 14 would refuse these before either path,
+    # so the CLI's closure runs under a bound that admits them
+    limits = SearchLimits(max_degree=40)
+    order = closure_order(PermGroup(g.degree, color_automorphisms(orb2(g), limits)))
+
+    def refuse(*args):
+        raise AssertionError("an in-class closure built the pair coloring or searched")
+
+    monkeypatch.setattr("twoclosure.cli.two_closure", partial(two_closure, limits=limits))
+    monkeypatch.setattr(oracle, "orb2", refuse)
+    monkeypatch.setattr(oracle, "color_automorphisms", refuse)
+    code, out, _ = run(capsys, "closure", write_group(tmp_path, "g.grp", serialize_group(g)))
+    assert code == 0
+    assert out.splitlines()[:2] == [f"# order {order}", f"degree {g.degree}"]
+
+
+def test_oracle_check_never_takes_the_pairwise_closure(tmp_path, capsys, monkeypatch):
+    groups = [fixture_example1(2), fixture_example1(3), fixture_example2(2),
+              *(random_abelian_cyclic(seed, 12) for seed in range(10))]
+    paths = [write_group(tmp_path, f"g{i}.grp", serialize_group(g)) for i, g in enumerate(groups)]
+    before = [run(capsys, "decide", path, "--oracle-check") for path in paths]
+    assert {code for code, _, _ in before} == {0, 1}
+
+    def refuse(group):
+        raise AssertionError("the oracle used the decider's coordinates")
+
+    monkeypatch.setattr(oracle, "_pairwise_closure", refuse)
+    assert [run(capsys, "decide", path, "--oracle-check") for path in paths] == before
 
 
 def test_zel_output_matches_library(tmp_path, capsys):

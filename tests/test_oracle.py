@@ -15,6 +15,7 @@ from conftest import (
 from twoclosure import oracle
 from twoclosure.cli import main
 from twoclosure.coloring import PairColoring, orb2, preserves
+from twoclosure.decider import _pairwise_closure
 from twoclosure.fixtures import fixture_example1, fixture_example2, random_regular_abelian
 from twoclosure.oracle import (
     BudgetExceeded,
@@ -76,9 +77,14 @@ def test_degree_bound_is_checked_before_the_pair_coloring(monkeypatch, tmp_path,
         assert "exceeds search bound" in capsys.readouterr().err
 
 
+def search(g, limits=SearchLimits()):
+    """The closure as the search finds it, whatever class g is in."""
+    return PermGroup(g.degree, color_automorphisms(orb2(g), limits))
+
+
 def test_node_budget_raises():
     with pytest.raises(BudgetExceeded):
-        two_closure(PermGroup.trivial(8), SearchLimits(max_nodes=5))
+        search(PermGroup.trivial(8), SearchLimits(max_nodes=5))
 
 
 def test_color_automorphisms_of_two_color_square():
@@ -238,7 +244,7 @@ def base_order(degree, gens):
 ], ids=["example1(11)", "example2(7)", "indep 8xZ4"])
 def test_closure_search_stays_within_a_small_node_budget(g, order):
     # a search that stores every leaf needs 81 928, 37 590 and 611 660 nodes
-    cl = two_closure(g, SearchLimits(max_degree=48, max_nodes=10_000))
+    cl = search(g, SearchLimits(max_degree=48, max_nodes=10_000))
     c = orb2(g)
     assert all(preserves(c, x) for x in cl.generators)
     # base_order <= |<generators>| <= |closure| = order: equality shows nothing is missing
@@ -255,7 +261,7 @@ def test_long_search_does_not_grow_the_stack():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 40)
     try:
-        cl = two_closure(g, SearchLimits(max_degree=2 * blocks))
+        cl = search(g, SearchLimits(max_degree=2 * blocks))
     finally:
         sys.setrecursionlimit(limit)
     assert cl.elements() == g.elements()
@@ -309,3 +315,34 @@ def test_closure_order_of_symmetric_groups(n):
     # a transposition and an n-cycle generate Sym(n), which is 2-closed
     g = PermGroup(n, [cyc(n, (0, 1)), cyc(n, tuple(range(n)))])
     assert closure_order(two_closure(g)) == math.factorial(n)
+
+
+def assert_pairwise_matches_search(g):
+    """The pairwise closure of an in-class group against the search's: the
+    same order, the same pair orbits, and the same elements where they
+    can be listed."""
+    pairwise, searched = _pairwise_closure(g), search(g, SearchLimits(max_degree=48))
+    order = closure_order(pairwise)
+    assert order == closure_order(searched)
+    c = orb2(g)
+    assert all(preserves(c, x) for x in pairwise.generators)
+    assert orb2(pairwise) == c
+    if order <= 10_000:
+        assert pairwise.elements() == searched.elements()
+
+
+@pytest.mark.parametrize("make", [fixture_example1, fixture_example2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pairwise_closure_matches_search_on_fixtures(make, p):
+    assert_pairwise_matches_search(make(p))
+
+
+def test_pairwise_closure_matches_search_on_pools(sweep_pool, coupled_pool):
+    for g in sweep_pool + coupled_pool:
+        assert_pairwise_matches_search(g)
+
+
+@settings(deadline=None, max_examples=100)
+@given(abelian_instances(max_degree=16))
+def test_pairwise_closure_matches_search_on_abelian_instances(g):
+    assert_pairwise_matches_search(g)

@@ -26,10 +26,12 @@ sparse generators runs as many perm.py lines at any degree.
 
 import random
 import sys
+from functools import partial
 
 from twoclosure import decider, perm
 from twoclosure.decider import decide_2_closed
 from twoclosure.groupfile import serialize_group
+from twoclosure.oracle import SearchLimits, closure_order, two_closure
 from twoclosure.perm import PermGroup, Permutation
 
 BOUND = 2.5
@@ -130,6 +132,17 @@ def test_witness_scan_computes_each_shape_pair_once(monkeypatch):
     for run in (_decide_closed, decider.zel):
         calls = _index_calls(monkeypatch, run, _blocks(400, "diag"))
         assert calls <= 2, (run, calls)
+
+
+def test_in_class_closure_pairs_only_orbits_that_share_a_generator(monkeypatch):
+    # no two orbits of indep 200 x Z2 share a generator, so no pair of them
+    # is constrained and the closure is the whole product; the orbits of
+    # diag Z2 all share one, and all have one shape
+    limits = SearchLimits(max_degree=400)
+    closure = partial(two_closure, limits=limits)
+    assert _index_calls(monkeypatch, closure, _blocks(200, "indep")) == 0
+    assert closure_order(closure(_blocks(200, "indep"))) == 2 ** 200
+    assert _index_calls(monkeypatch, closure, _blocks(200, "diag")) == 1
 
 
 def test_rank_counts_removed_labels_inside_one_block(monkeypatch):
