@@ -114,7 +114,9 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_orb2(args) -> int:
-    print(orb2(_read_group(args.file)).render())
+    text = orb2(_read_group(args.file)).render()
+    if text:  # a matrix with no rows prints no lines, as orbits does
+        print(text)
     return 0
 
 

@@ -93,7 +93,9 @@ def random_abelian_cyclic(seed: int, max_degree: int) -> PermGroup:
     """
     _check_degree(max_degree)
     rng = random.Random(seed)
-    if max_degree <= 0:
+    if max_degree < 0:
+        raise ValueError("need max_degree >= 0")
+    if max_degree == 0:
         return PermGroup(0)
 
     sizes: list[int] = []

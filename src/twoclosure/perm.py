@@ -52,34 +52,41 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Permutation:
+class _PermutationFields(NamedTuple):
+    images: tuple[int, ...]
+
+
+class Permutation(_PermutationFields):
     """A bijection of {0..n-1}; ``images[i]`` is where point ``i`` goes.
 
     Composition is "left first": ``(p * q)(i) == q(p(i))``, matching the
     exponent convention on points, ``i^(pq) = (i^p)^q``.  This is the one
-    global convention.  Permutations order by ``images``, a tuple whatever
-    sequence was given; ``images`` is set once, and assigning or deleting
-    it raises AttributeError.
+    global convention.  A permutation is a named tuple of one field, the
+    images as a tuple whatever sequence was given: it unpacks as
+    ``images, = p``, ``len(p) == 1``, it equals and hashes as the 1-tuple
+    ``(images,)``, and permutations order by their images.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images: Sequence[int]):
+    def __new__(cls, images: Sequence[int]):
         n = len(images)
         seen = [False] * n
         for v in images:
             if not 0 <= v < n or seen[v]:
                 raise ValueError(f"not a bijection of 0..{n - 1}: {images!r}")
             seen[v] = True
-        object.__setattr__(self, "images", tuple(images))
+        return tuple.__new__(cls, (tuple(images),))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: keep the check
+        return cls(*iterable)
 
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> Permutation:
         """A permutation of images its caller has already checked or built to
         be a bijection of 0..n-1, as the group-file parser and ``**`` do."""
-        perm = object.__new__(cls)
-        object.__setattr__(perm, "images", images)
-        return perm
+        return tuple.__new__(cls, (images,))
 
     @classmethod
     def _unchecked_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> Permutation:
@@ -93,35 +100,6 @@ class Permutation:
                     images[x] = y
                 images[cycle[-1]] = cycle[0]
         return cls._unchecked(tuple(images))
-
-    # equality, hashing and order by images directly: sets of permutations
-    # hash and compare them in the inner loops
-    def __eq__(self, other):
-        return self.images == other.images if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __lt__(self, other):
-        return self.images < other.images if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self.images <= other.images if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self.images > other.images if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self.images >= other.images if other.__class__ is self.__class__ else NotImplemented
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Permutation, (self.images,)
 
     @staticmethod
     def identity(degree: int) -> Permutation:
@@ -239,7 +217,6 @@ class PermGroup:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         gens: list[Permutation] = []
-        seen: set[Permutation] = set()
         for g in generators:
             if not isinstance(g, Permutation):
                 g = Permutation(tuple(g))
@@ -247,12 +224,10 @@ class PermGroup:
                 raise ValueError(
                     f"generator degree {g.degree} does not match group degree {degree}"
                 )
-            if g.is_identity() or g in seen:
-                continue
-            seen.add(g)
-            gens.append(g)
+            if not g.is_identity():
+                gens.append(g)
         self.degree = degree
-        self.generators = tuple(gens)
+        self.generators = tuple(dict.fromkeys(gens))
         self._elements: Optional[frozenset[Permutation]] = None
 
     @staticmethod

@@ -235,6 +235,12 @@ def test_orb2_output(tmp_path, capsys):
     assert out == orb2(g).render() + "\n"
 
 
+@pytest.mark.parametrize("command", ("orbits", "orb2"))
+def test_degree_zero_prints_no_lines(tmp_path, capsys, command):
+    path = write_group(tmp_path, "empty.grp", "degree 0\n")
+    assert run(capsys, command, path) == (0, "", "")
+
+
 def test_orb2_degree_bound_is_checked_before_the_matrix(monkeypatch, tmp_path, capsys):
     # the n x n matrix of a huge group must never be allocated; a group one
     # point above the bound keeps a missing check cheap, and its generators
@@ -299,6 +305,14 @@ def test_random_subcommand_is_deterministic(capsys):
     code, second, _ = run(capsys, "random", "--seed", "5", "--max-degree", "9")
     assert first == second
     assert parse_group(first) == random_abelian_cyclic(5, 9)
+
+
+@pytest.mark.parametrize("flags", ((), ("--regular",)), ids=["cyclic", "regular"])
+def test_random_with_a_negative_max_degree_exits_two(capsys, flags):
+    code, out, err = run(capsys, "random", "--seed", "0", "--max-degree", "-1", *flags)
+    assert code == 2
+    assert out == ""
+    assert "need max_degree >=" in err
 
 
 def test_random_regular_flag(capsys):

@@ -100,6 +100,11 @@ def test_random_abelian_cyclic_degree_zero_budget():
     assert random_abelian_cyclic(0, 0).degree == 0
 
 
+def test_random_abelian_cyclic_refuses_a_negative_budget():
+    with pytest.raises(ValueError, match="need max_degree >= 0"):
+        random_abelian_cyclic(0, -1)
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.integers(0, 5_000))
 def test_random_abelian_cyclic_always_in_scope(seed):

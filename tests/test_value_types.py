@@ -89,3 +89,10 @@ def test_permutations_order_by_images():
     a, b = Permutation((0, 2, 1)), Permutation((1, 0, 2))
     assert a < b and a <= b and b > a and b >= a and a <= a and a >= a
     assert not (a < a or a > a)
+
+
+def test_permutations_built_through_make_or_replace_are_checked():
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation((1, 0, 2))._replace(images=(0, 0, 1))
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation._make([(2, 2)])
