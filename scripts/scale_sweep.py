@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time parse_group, decide_2_closed and zel on three families at doubling degrees.
+"""Time parse_group, decide_2_closed and zel on four families at doubling degrees.
 
     python scripts/scale_sweep.py --max-degree 100000
 
@@ -8,16 +8,18 @@ a seeded shuffle, as a file from elsewhere would be:
 
   diag     one Z2 generator shifting every block of 2 points
   indep    k Z2 generators, each shifting its own block of 2 points
+  linked   k - 1 Z2 generators, generator i shifting blocks i and i + 1
+           of 2 points, so that most orbits have two movers
   example1 fixture_example1(p) for the least prime p with 3p >= degree
 
 Every size runs in a fresh interpreter, so the max RSS column is that of
 one parse, one decide and one zel (text generation included).  zel_s
 times what `twoclosure zel` does after parsing: zel, the product of its
 generators' orders for the '# order' line, and serialize_group.  indep
-stops at INDEP_MAX_DEGREE, because its k generators store k * 2k
-images.  The last column is the decide time over that of the previous
-size: about 2 for a cost linear in the degree, about 4 for a quadratic
-one.
+and linked stop at INDEP_MAX_DEGREE, because their generators store
+about k * 2k images.  The last column is the decide time over that of
+the previous size: about 2 for a cost linear in the degree, about 4 for
+a quadratic one.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import sys
 import time
 from pathlib import Path
 
-FAMILIES = ("diag", "indep", "example1")
+FAMILIES = ("diag", "indep", "linked", "example1")
 MIN_DEGREE = 250
 INDEP_MAX_DEGREE = 1600
 
@@ -55,7 +57,10 @@ def group_text(family: str, degree: int, seed: int = 0) -> str:
         degree, gens = group.degree, list(group.generators)
     else:
         k = degree // 2
-        shifts = [range(k)] if family == "diag" else [[b] for b in range(k)]
+        if family == "diag":
+            shifts = [range(k)]
+        else:  # indep: each block alone; linked: blocks b and b + 1
+            shifts = [[b] for b in range(k)] if family == "indep" else [[b, b + 1] for b in range(k - 1)]
         gens = [Permutation.from_cycles(degree, [(2 * b, 2 * b + 1) for b in blocks]) for blocks in shifts]
     sigma = list(range(degree))
     random.Random(seed).shuffle(sigma)
@@ -103,7 +108,7 @@ def main(argv=None) -> int:
     src = str(Path(__file__).resolve().parent.parent / "src")
     print(f"{'family':<9} {'degree':>8} {'parse_s':>9} {'decide_s':>9} {'zel_s':>9} {'max_rss_mb':>10} {'ratio':>6}")
     for family in args.families:
-        cap = min(args.max_degree, INDEP_MAX_DEGREE) if family == "indep" else args.max_degree
+        cap = min(args.max_degree, INDEP_MAX_DEGREE) if family in ("indep", "linked") else args.max_degree
         degree, previous = MIN_DEGREE, None
         while degree <= cap:
             out = subprocess.run(

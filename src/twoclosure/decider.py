@@ -39,12 +39,12 @@ The vectors are held by orbit and sparse: _Coordinates keeps parallel
 lists, indexed by orbit in order of minimal point, of the sizes, the
 points in coordinate order (so the steps report the orbits of the group
 they describe) and the rows, each orbit's nonzero shifts as ascending
-(generator, shift) pairs, equal rows sharing one tuple.  Each orbit is
-walked once, along a generator (or product of generator powers) that
-runs through it.  The witness scan, which zel() shares with the chain,
-pairs only orbits that share a generator and computes an index once
-per pair of orbit shapes (size, row), so the cost of either is about
-linear in the degree and the number of nonzero shifts.
+(generator, shift) pairs, equal rows sharing one tuple.  They cost O(n)
+in C plus O(sum of |supp g|) in Python, as each generator's cycles are
+walked once.  The witness scan, which zel() shares with the chain, is
+pairwise over the distinct shapes (size, row) of orbits that share a
+generator: about linear where shapes repeat (one pair on diag Z2), but
+k(k-1) _index calls on k orbits of distinct shapes sharing a generator.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from heapq import merge
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, repeat
 from operator import ne
 from typing import Iterable, NamedTuple
 
@@ -135,50 +135,70 @@ def _prime_parts(q: int) -> tuple[tuple[int, int], ...]:
 def _coordinates(group: PermGroup) -> _Coordinates:
     """The orbits in coordinates, in order of minimal point.
 
-    The constituent generator c on an orbit is the product, over the
-    primes p dividing the orbit size q, of the p-part of the first
-    generator whose cycle through the minimal point carries the full
-    p-part p^a of q.  The orbit is walked once, along a generator that
-    acts on it as a q-cycle (or, if none does, along c built from its
-    cycles); the constituent is cyclic exactly when every generator
-    moving the orbit shifts that walk, and then c shifts it by a unit s,
-    so c's coordinates are the walk's divided by s.  Otherwise
-    PreconditionFailed is raised.
+    Each generator's cycles are walked once, from their minimal points,
+    over the points it moves; a union-find joins cycles that share a point.
+    An orbit one generator moves is one of its cycles, the walk, shift 1.
+    One that several move is walked along the first that acts on it as a
+    q-cycle, q its size, or else along c (_product_walk); it is cyclic
+    exactly when each of them shifts that walk, and the first orbit, by
+    minimal point, that is not raises PreconditionFailed.  The constituent
+    generator c is the product, over the primes p dividing q, of the p-part
+    of the first generator whose cycle through the minimal point carries
+    the full p-part p^a of q; c shifts the walk by a unit s, so its
+    coordinates are the walk's divided by s.
     """
     n, gens = group.degree, [g.images for g in group.generators]
-    part = group.orbits()
-    # first[d]: the first generator that moves a point of orbit d, or -1;
-    # more[d]: all that do, in order, where there are several (the other
-    # generators fix d pointwise)
-    first, more = [-1] * len(part.classes), {}
-    orbit_of = part.point_to_class.__getitem__
+    # owner[x]: the last cycle walked through x, or -1; parent leads a joined
+    # cycle to the newest cycle of its orbit (a union-find, path halving)
+    owner, cycles, movers, parent, joined = [-1] * n, [], [], [], set()
     for h, images in enumerate(gens):
-        for d in set(map(orbit_of, compress(range(n), map(ne, images, range(n))))):
-            if first[d] < 0:
-                first[d] = h
+        first = len(cycles)
+        for i in compress(range(n), map(ne, images, range(n))):
+            if owner[i] < first:  # i is the minimal point of a cycle of h not walked yet
+                c, walk, j = len(cycles), [i], images[i]
+                while j != i:
+                    walk.append(j)
+                    j = images[j]
+                parent.append(c)
+                for t in {*map(owner.__getitem__, walk)} - {-1} if first else ():
+                    joined.update((t, c))
+                    while parent[t] != t:
+                        parent[t] = t = parent[parent[t]]
+                    parent[t] = c
+                for j in walk:
+                    owner[j] = c
+                cycles.append(tuple(walk))
+        movers.extend(repeat(h, len(cycles) - first))
+    orbits = {}  # root -> the joined cycles of its orbit, descending
+    for c in sorted(joined, reverse=True):  # a parent is newer, so its parent is a root
+        parent[c] = parent[parent[c]]
+        orbits.setdefault(parent[c], []).append(c)
+    # walks[x], rows[x]: the walk and row of the orbit whose minimal point is x
+    walks, rows, seen = [None] * n, [()] * n, {}
+    fixed = [*compress(range(n), map((-1).__eq__, owner))]
+    any(map(walks.__setitem__, fixed, zip(fixed)))
+    for c, walk in enumerate(cycles):
+        if c not in joined:  # c's walk if q is a prime power, else oriented below
+            if len(_prime_parts(len(walk))) > 1:
+                orbits[c] = [c]
             else:
-                more.setdefault(d, [first[d]]).append(h)
-    sizes, walks, rows, seen = [], [], [], {}
-    for d, cls in enumerate(part.classes):
-        q, base = len(cls), cls[0]
-        sup = more.get(d) or ([first[d]] if first[d] >= 0 else [])
-        shifts = dict.fromkeys(sup, 0)
-        for h in sup:
-            images, walk = gens[h], [base]
-            x = images[base]
-            while x != base:
-                walk.append(x)
-                x = images[x]
-            if len(walk) == q:
-                shifts[h] = 1
+                row = (movers[c], 1),
+                walks[walk[0]], rows[walk[0]] = walk, seen.setdefault(row, row)
+    for base, ids in sorted((min(map(cycles.__getitem__, ids))[0], ids[::-1]) for ids in orbits.values()):
+        points = {*chain.from_iterable(map(cycles.__getitem__, ids))}
+        q, shifts = len(points), dict.fromkeys(map(movers.__getitem__, ids), 0)
+        for c in ids:  # ascending, as are the movers; a cycle through base starts at base
+            if cycles[c][0] == base and len(cycles[c]) == q:
+                walk = cycles[c]
+                shifts[movers[c]] = 1
                 break
         else:
-            walk = _product_walk(cls, gens, sup) if sup else [base]
-        for h in sup:
+            walk = tuple(_product_walk(sorted(points), gens, [*shifts]))
+        for h in shifts:
             if not shifts[h]:
                 images = gens[h]
                 v = shifts[h] = walk.index(images[base]) if len(walk) == q else 0
-                if not v or [images[x] for x in walk] != walk[v:] + walk[:v]:
+                if not v or tuple(map(images.__getitem__, walk)) != walk[v:] + walk[:v]:
                     raise PreconditionFailed(f"the constituent on the orbit of {base} is not cyclic")
         s = 0
         for p, pa in _prime_parts(q):
@@ -188,14 +208,13 @@ def _coordinates(group: PermGroup) -> _Coordinates:
                     s += v * (length // pa)
                     break
         row = tuple(shifts.items())
-        if q > 1 and s % q != 1:
+        if s % q != 1:
             unit = pow(s, -1, q)
-            walk = [walk[s * i % q] for i in range(q)]
+            walk = tuple(walk[s * i % q] for i in range(q))
             row = tuple((h, v * unit % q) for h, v in row)
-        sizes.append(q)
-        walks.append(tuple(walk))
-        rows.append(seen.setdefault(row, row))
-    return _Coordinates(sizes, walks, rows)
+        walks[base], rows[base] = walk, seen.setdefault(row, row)
+    rows, walks = [*compress(rows, walks)], [*filter(None, walks)]
+    return _Coordinates([*map(len, walks)], walks, rows)
 
 
 def _product_walk(cls: tuple[int, ...], gens: list[tuple[int, ...]], sup: list[int]) -> list[int]:
@@ -470,7 +489,8 @@ def zel(group: PermGroup) -> PermGroup:
         raise ValueError(f"zel needs at least two orbits, got {len(coords.sizes)}; "
                          "not defined for transitive groups")
     # the residue classes of an orbit's coordinates mod f_D are the cycles of c^f_D
-    gens = [Permutation._unchecked_cycles(group.degree, [pts[b::f] for b in range(f)])
+    gens = [Permutation._unchecked_cycles(group.degree, [*chain.from_iterable(pts[b::f] for b in range(f))],
+                                          repeat(q // f, f))
             for q, pts, f in zip(coords.sizes, coords.points, _zel_factors(coords, *_witness_scan(coords), 0))
             if f < q]
     return PermGroup(group.degree, gens)

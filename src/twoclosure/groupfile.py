@@ -17,6 +17,7 @@ anything is allocated, and every malformed file raises ParseError.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from .perm import PermGroup, Permutation
 
@@ -120,11 +121,11 @@ def _parse_perm(line: str, pos: int, degree: int, lineno: int) -> Permutation:
     stop = _POINTS.match(line, end + 1).end() if broken else end
     if broken:
         groups.append(line[end + 1:stop].translate(_BLANKS))
+    # split as read, so that no point is held as a string and an int at once
     try:
-        groups = [list(map(int, points.split())) for points in groups]
+        read = list(map(int, chain.from_iterable(map(str.split, groups))))
     except ValueError:  # int() refuses over 4300 digits
-        groups = [[_number(x, degree)[1] for x in points.split()] for points in groups]
-    read = [x for points in groups for x in points] if len(groups) > 1 else groups[0]
+        read = [_number(x, degree)[1] for x in chain.from_iterable(map(str.split, groups))]
     if read and (max(read) >= degree or len(set(read)) < len(read)):
         _raise_first_bad_point(line[:stop], pos, degree, lineno, bracket)
     if broken:
@@ -137,7 +138,7 @@ def _parse_perm(line: str, pos: int, degree: int, lineno: int) -> Permutation:
             raise InvalidPermutation(f"image list has {len(read)} entries, expected {degree}",
                                      lineno, line.rindex("]", pos, end) + 1)
         return Permutation._unchecked(tuple(read))
-    return Permutation._unchecked_cycles(degree, groups)
+    return Permutation._unchecked_cycles(degree, read, map(len, map(str.split, groups)))
 
 
 def _raise_first_bad_point(text: str, pos: int, degree: int, lineno: int, bracket: str) -> None:

@@ -11,7 +11,7 @@ oracle and the tests' reference procedures, and the element cap
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import accumulate, chain, compress
 from operator import ne
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -64,10 +64,13 @@ class Permutation(_PermutationFields):
     global convention.  A permutation is a named tuple of one field, the
     images as a tuple whatever sequence was given: it unpacks as
     ``images, = p``, ``len(p) == 1``, it equals and hashes as the 1-tuple
-    ``(images,)``, and permutations order by their images.
+    ``(images,)``, and permutations order by their images.  ``p + q`` and
+    ``2 * p`` raise TypeError, but ``(1,) + p`` is still a tuple
+    concatenation: tuple's own ``+`` runs first.
     """
 
     __slots__ = ()
+    __add__ = __rmul__ = None  # not tuple's concatenation and repetition
 
     def __new__(cls, images: Sequence[int]):
         n = len(images)
@@ -89,16 +92,16 @@ class Permutation(_PermutationFields):
         return tuple.__new__(cls, (images,))
 
     @classmethod
-    def _unchecked_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> Permutation:
-        """The permutation of disjoint cycles its caller has already checked
-        (the group-file parser) or built (zel) to lie in 0..degree-1 without
-        a repeated point."""
-        images = list(range(degree))
-        for cycle in cycles:
-            if cycle:
-                for x, y in zip(cycle, cycle[1:]):
-                    images[x] = y
-                images[cycle[-1]] = cycle[0]
+    def _unchecked_cycles(cls, degree: int, points: Sequence[int], lengths: Iterable[int]) -> Permutation:
+        """The disjoint cycles, their points one cycle after another, that
+        the caller has checked (the parser) or built (zel) to lie in
+        0..degree-1 without a repeated point: one pass in C sends each point
+        to the next, then one step per cycle its last point to its first."""
+        images, start = list(range(degree)), 0
+        any(map(images.__setitem__, points, points[1:]))
+        for end in accumulate(filter(None, lengths)):
+            images[points[end - 1]] = points[start]
+            start = end
         return cls._unchecked(tuple(images))
 
     @staticmethod
@@ -116,7 +119,7 @@ class Permutation(_PermutationFields):
             if pt in touched:
                 raise ValueError(f"point {pt} repeated across cycles")
             touched.add(pt)
-        return Permutation._unchecked_cycles(degree, cycles)
+        return Permutation._unchecked_cycles(degree, [*chain.from_iterable(cycles)], map(len, cycles))
 
     @property
     def degree(self) -> int:

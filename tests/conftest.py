@@ -1,6 +1,9 @@
+import math
 import random
 import re
 import sys
+from itertools import compress
+from operator import ne
 
 import pytest
 from hypothesis import strategies as st
@@ -17,6 +20,9 @@ from twoclosure.decider import (
     PreconditionFailed,
     ReductionTrace,
     Step,
+    _Coordinates,
+    _prime_parts,
+    _product_walk,
 )
 from twoclosure.perm import prime_factors
 from twoclosure.reduction import remove_orbit, sylow_decomposition
@@ -113,6 +119,60 @@ def reference_zel(group):
                 images[x] = cls[f.images[i]]
             gens.append(Permutation(tuple(images)))
     return PermGroup(group.degree, gens)
+
+
+def reference_coordinates(group):
+    """decider._coordinates as the library computed it before it walked
+    the generators' cycles: the orbits from PermGroup.orbits, then each
+    orbit walked again along its movers, in order of minimal point."""
+    n, gens = group.degree, [g.images for g in group.generators]
+    part = group.orbits()
+    first, more = [-1] * len(part.classes), {}
+    orbit_of = part.point_to_class.__getitem__
+    for h, images in enumerate(gens):
+        for d in set(map(orbit_of, compress(range(n), map(ne, images, range(n))))):
+            if first[d] < 0:
+                first[d] = h
+            else:
+                more.setdefault(d, [first[d]]).append(h)
+    sizes, walks, rows, seen = [], [], [], {}
+    for d, cls in enumerate(part.classes):
+        q, base = len(cls), cls[0]
+        sup = more.get(d) or ([first[d]] if first[d] >= 0 else [])
+        shifts = dict.fromkeys(sup, 0)
+        for h in sup:
+            images, walk = gens[h], [base]
+            x = images[base]
+            while x != base:
+                walk.append(x)
+                x = images[x]
+            if len(walk) == q:
+                shifts[h] = 1
+                break
+        else:
+            walk = _product_walk(cls, gens, sup) if sup else [base]
+        for h in sup:
+            if not shifts[h]:
+                images = gens[h]
+                v = shifts[h] = walk.index(images[base]) if len(walk) == q else 0
+                if not v or [images[x] for x in walk] != walk[v:] + walk[:v]:
+                    raise PreconditionFailed(f"the constituent on the orbit of {base} is not cyclic")
+        s = 0
+        for p, pa in _prime_parts(q):
+            for v in shifts.values():
+                length = q // math.gcd(v, q)
+                if length % pa == 0:
+                    s += v * (length // pa)
+                    break
+        row = tuple(shifts.items())
+        if q > 1 and s % q != 1:
+            unit = pow(s, -1, q)
+            walk = [walk[s * i % q] for i in range(q)]
+            row = tuple((h, v * unit % q) for h, v in row)
+        sizes.append(q)
+        walks.append(tuple(walk))
+        rows.append(seen.setdefault(row, row))
+    return _Coordinates(sizes, walks, rows)
 
 
 def reference_cycles(perm, include_fixed=False):

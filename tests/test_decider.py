@@ -9,6 +9,7 @@ from conftest import (
     abelian_instances,
     perm_groups,
     random_coupled_blocks,
+    reference_coordinates,
     reference_decide,
     stack_depth,
 )
@@ -279,6 +280,46 @@ def test_decider_enumerates_no_group(monkeypatch, coupled_pool, tmp_path, capsys
         if len(g.orbits()) > 1:
             assert main(["zel", str(path)]) == 0
     capsys.readouterr()
+
+
+def coordinates_or_error(group, coordinates):
+    try:
+        return coordinates(group)
+    except PreconditionFailed as error:
+        return str(error)
+
+
+def assert_coordinates_match_reference(group):
+    got = coordinates_or_error(group, decider._coordinates)
+    want = coordinates_or_error(group, reference_coordinates)
+    assert got == want, (group, got, want)
+    if not isinstance(want, str):
+        assert [list(field) for field in got] == [list(field) for field in want]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(perm_groups(max_degree=7, max_gens=3), abelian_instances(24)))
+def test_coordinates_match_the_reference(g):
+    # sizes, walks and rows, or the PreconditionFailed message naming the
+    # first orbit, in order of minimal point, that is not cyclic
+    assert_coordinates_match_reference(g)
+
+
+def test_coordinates_match_the_reference_on_the_pools(sweep_pool, coupled_pool):
+    for g in sweep_pool + coupled_pool:
+        assert_coordinates_match_reference(g)
+    for p in (2, 3, 5, 7, 11):
+        assert_coordinates_match_reference(fixture_example1(p))
+        assert_coordinates_match_reference(fixture_example2(p))
+
+
+def test_the_first_orbit_that_fails_is_the_one_of_least_minimal_point():
+    # generator 0 moves only the orbit of 3 and is walked first, but the
+    # orbit of 0 comes first in order of minimal point; both are S3
+    g = PermGroup(6, [cyc(6, (3, 4)), cyc(6, (0, 1), (4, 5)), cyc(6, (1, 2))])
+    assert coordinates_or_error(g, decider._coordinates) == \
+        "the constituent on the orbit of 0 is not cyclic"
+    assert_coordinates_match_reference(g)
 
 
 @settings(deadline=None, max_examples=50)

@@ -19,11 +19,18 @@ same pair counts.  _index reads only two orbit shapes (size and nonzero
 shifts), and one scan computes it once per pair of shapes it meets, so
 diag Z2, whose orbits all have one shape, calls it once.
 
+The coordinates every decide, zel and in-class closure starts from are
+built from each generator's cycles, over the points it moves, so the
+lines that pass runs grow with the degree and the generators' supports,
+not with the degree times the number of generators (indep k x Z2, and
+linked, where generator i moves blocks i and i + 1).
+
 A permutation's cycle queries (cycles, order, **, is_identity, str) walk
 only its moved points, so building, printing and powering a group of
 sparse generators runs as many perm.py lines at any degree.
 """
 
+import os
 import random
 import sys
 from functools import partial
@@ -39,12 +46,16 @@ BOUND = 2.5
 
 def _blocks(k, generators, seed=0):
     """k blocks of 2 points under relabelled points, with one generator
-    swapping every block (diag) or one per block (indep)."""
+    swapping every block (diag), one per block (indep), or one per pair
+    of neighbours, generator i swapping blocks i and i + 1 each within
+    itself (linked), so that every orbit but the two ends has two movers."""
     sigma = list(range(2 * k))
     random.Random(seed).shuffle(sigma)
     pairs = [(sigma[2 * b], sigma[2 * b + 1]) for b in range(k)]
     gens = []
-    for block in ([pairs] if generators == "diag" else [[pair] for pair in pairs]):
+    layouts = {"diag": [pairs], "indep": [[pair] for pair in pairs],
+               "linked": [pairs[i:i + 2] for i in range(k - 1)]}
+    for block in layouts[generators]:
         images = list(range(2 * k))
         for x, y in block:
             images[x], images[y] = y, x
@@ -81,6 +92,13 @@ def _chain_lines(group):
     """The number of lines _chain and its witness scan run to decide the group."""
     counted = {decider._chain.__code__, decider._witness_scan.__code__}
     return _lines(counted.__contains__, lambda: _decide_closed(group))
+
+
+def _coordinate_lines(group):
+    """The number of lines the coordinate pass, and the src helpers it
+    calls, run on the group."""
+    package = os.path.dirname(decider.__file__)
+    return _lines(lambda code: code.co_filename.startswith(package), lambda: decider._coordinates(group))
 
 
 def _sparse_perm_lines(n):
@@ -168,6 +186,14 @@ def test_diag_z2_scales_about_linearly():
 def test_indep_z2_scales_about_linearly():
     ratio = _chain_lines(_blocks(400, "indep")) / _chain_lines(_blocks(200, "indep"))
     assert ratio < BOUND, ratio
+
+
+def test_coordinates_scale_about_linearly():
+    # one Python step per moved point: a pass over the orbits that visits
+    # every generator at every point costs 2k (k - 1) steps on both
+    for generators in ("indep", "linked"):
+        ratio = _coordinate_lines(_blocks(400, generators)) / _coordinate_lines(_blocks(200, generators))
+        assert ratio < BOUND, (generators, ratio)
 
 
 def test_sparse_permutations_cost_their_support_not_their_degree():

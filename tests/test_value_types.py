@@ -96,3 +96,15 @@ def test_permutations_built_through_make_or_replace_are_checked():
         Permutation((1, 0, 2))._replace(images=(0, 0, 1))
     with pytest.raises(ValueError, match="not a bijection"):
         Permutation._make([(2, 2)])
+
+
+def test_permutations_neither_concatenate_nor_repeat():
+    p = Permutation((1, 0))
+    with pytest.raises(TypeError):
+        p + p
+    with pytest.raises(TypeError):
+        2 * p
+    with pytest.raises(AttributeError):  # p * q composes, so q must be a permutation
+        p * 2
+    assert p * p == Permutation((0, 1))
+    assert (1,) + p == (1, (1, 0))  # tuple's own + runs first
