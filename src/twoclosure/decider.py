@@ -29,7 +29,7 @@ each step of the chain is integer arithmetic on those vectors:
                |D| / p^a cosets, all shifted alike
   zel factor   on D, generated by c^f_D for the constituent generator c,
                f_D = lcm over D' != D of the index of the shifts on D of
-               the elements fixing D' pointwise (a two-column echelon)
+               the elements fixing D' pointwise, read off hashed rows (_keys)
   zel <= G     adding the vectors f_D e_D to the lattice keeps |G|
   ZelReduce    coordinate D taken mod f_D; |G| drops by prod |D| / f_D
   OrbitRemoval coordinate D dropped; |G| stays, since a trivial zel
@@ -41,17 +41,15 @@ points in coordinate order (so the steps report the orbits of the group
 they describe) and the rows, each orbit's nonzero shifts as ascending
 (generator, shift) pairs, equal rows sharing one tuple.  They cost O(n)
 in C plus O(sum of |supp g|) in Python, as each generator's cycles are
-walked once.  The witness scan, which zel() shares with the chain, is
-pairwise over the distinct shapes (size, row) of orbits that share a
-generator: about linear where shapes repeat (one pair on diag Z2), but
-k(k-1) _index calls on k orbits of distinct shapes sharing a generator.
+walked once.  The witness scan (the chain's and zel()'s) and the
+closure read one index from keys to the orbits holding them (_holders):
+one _keys per distinct (size, row), then O(log |D|) steps per orbit.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from heapq import merge
 from itertools import accumulate, chain, compress, repeat
 from operator import ne
 from typing import Iterable, NamedTuple
@@ -305,70 +303,61 @@ def _sylow_part(coords: _Coordinates, p: int) -> _Coordinates:
     return _Coordinates(*([o[i] for o in part] for i in range(1, 4)))
 
 
-def _index(a: tuple[int, tuple], b: tuple[int, tuple]) -> tuple[int, int]:
-    """(h, x): h is the index in Z_|a| of the shifts on orbit a of the
-    elements that fix orbit b pointwise, for two orbit shapes (size, row).
-
-    A two-column echelon over the generators that move a or b: (x, y) is
-    the pivot row on b's column, and h generates the first coordinates of
-    the lattice vectors whose b-coordinate is zero.  The b-shifts generate
-    Z_|b|, so y ends at 1 and (1, x), (0, h) generate the shifts on (b, a).
+def _keys(q: int, row: tuple[tuple[int, int], ...]) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """For each p^t > 1 dividing q, by p and then t, the key (p^t, the
+    row times s^-1 mod p^t, zeros dropped), s the row's first shift prime
+    to p.  Two orbits hold one key iff their rows agree mod p^t up to a
+    unit, their projection then the graph of x' = (s'/s) x mod p^t; so
+    the p-part of the index in Z_|D| of the shifts on D of the elements
+    fixing D' pointwise is p^t for the deepest key both hold (the second
+    determinantal divisor of the two columns; Cohen, GTM 138, 2.4).
     """
-    (qa, ra), (qb, rb) = a, b
-    h, x, y, on_b = qa, 0, qb, dict(rb)
-    for s, t in (*((s, on_b.pop(i, 0)) for i, s in ra), *((0, t) for t in on_b.values())):
-        g, u, w = _xgcd(y, t)
-        h = math.gcd(h, ((t // g) * x - (y // g) * s) % h)
-        if h == 1:  # a gcd chain that reaches 1 stays there
-            return 1, x
-        x, y = (u * x + w * s) % qa, g
-    return h, x
+    keys = []
+    for p, pa in _prime_parts(q):
+        if len(row) == 1:  # its one shift is a unit
+            scaled = (row[0][0], 1),
+        else:
+            unit = pow(next(v for _, v in row if v % p), -1, pa)
+            scaled = [(h, v * unit % pa) for h, v in row]
+        pt = p
+        while pt <= pa:
+            keys.append((pt, scaled if len(row) == 1 else tuple((h, v % pt) for h, v in scaled if v % pt)))
+            pt *= p
+    return keys
 
 
-def _movers(rows: list[tuple[tuple[int, int], ...]]) -> dict[int, list[int]]:
-    """movers[h]: the orbits generator h moves, ascending."""
-    movers = {}
-    for d, row in enumerate(rows):
-        for h, _ in row:
-            movers.setdefault(h, []).append(d)
-    return movers
+def _holders(coords: _Coordinates) -> list[list[tuple[int, list[int]]]]:
+    """For each orbit, the pairs (p^t, the orbits holding its key at p^t,
+    ascending); _keys runs once per (size, row), and a fixed point holds none."""
+    sizes, rows, memo, lists, held = coords.sizes, coords.rows, {}, {}, [()] * len(coords.sizes)
+    for d in compress(range(len(sizes)), map((1).__lt__, sizes)):
+        shape = sizes[d], rows[d]
+        on = memo.get(shape)
+        if on is None:
+            on = memo[shape] = [(key[0], lists.setdefault(key, [])) for key in _keys(*shape)]
+        for _, ds in on:
+            ds.append(d)
+        held[d] = on
+    return held
 
 
 def _witness_scan(coords: _Coordinates) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
-    """For each orbit D, its last witness, or -1, and the (j, _index) pairs
-    of index above 1 met on the way down to it.
-
-    A witness of D is another orbit D' whose pointwise stabilizer fixes
-    D too (_index is |D|).  Only an orbit D' that shares a generator with
-    D can be a witness or add to f_D (otherwise _index is 1), so the scan
-    walks, from the top down, the orbits moved by D's generators and stops
-    at the first witness; a fixed point's witness is the top other orbit.
-    _index reads only the two orbits' shapes, so it runs once per pair of
-    shapes met in one scan.
-    """
-    shapes = list(zip(coords.sizes, coords.rows))
-    k, movers, memo = len(shapes), _movers(coords.rows), {}
-    witness, found = [], []
-    for i, (q, row) in enumerate(shapes):
-        w, pairs, last = -1, [], i
-        if q == 1:
-            w, below = k - 1 if i < k - 1 else k - 2, ()
-        elif len(row) == 1:
-            below = reversed(movers[row[0][0]])
-        else:
-            below = merge(*(reversed(movers[h]) for h, _ in row), reverse=True)
-        for j in below:
-            if j == last or j == i:
-                continue
-            last, key = j, (shapes[i], shapes[j])
-            h, _ = memo.get(key) or memo.setdefault(key, _index(*key))
-            if h == q:
+    """For each orbit D, its last witness, or -1, and a pair (j, p^t) for
+    each other depth p^t whose last other holder j of D's key comes after
+    that witness.  A witness holds D's key at |D|, a prime power, so its
+    pointwise stabilizer fixes D; a fixed point's is the top other orbit."""
+    sizes, k, held = coords.sizes, len(coords.sizes), _holders(coords)
+    witness, found = [k - 1] * k, [()] * k  # no empty list kept per orbit
+    witness[-1] = k - 2
+    for d in compress(range(k), held):
+        w, pairs = -1, []
+        for pt, on in reversed(held[d]):  # deepest first
+            j = on[-1] if on[-1] != d else on[-2] if len(on) > 1 else -1
+            if pt == sizes[d]:
                 w = j
-                break
-            if h > 1:
-                pairs.append((j, h))
-        witness.append(w)
-        found.append(pairs or ())  # no empty list kept per orbit
+            elif j > w:
+                pairs.append((j, pt))
+        witness[d], found[d] = w, pairs or ()
     return witness, found
 
 
@@ -384,10 +373,11 @@ def _chain(coords: _Coordinates, order: int, steps: list[Step]) -> bool:
     """Reduce one p-group to its base case, appending the steps taken.
 
     Every orbit size is a power of p, so the zel factor on an orbit D is
-    trivial exactly when D has a witness (see _witness_scan).  Orbit
-    removal leaves every witness a witness and removes orbits in order of
-    minimal point, so the last witness of each orbit, found once, says
-    for how long its zel factor stays trivial.  Labels are relabelled
+    trivial exactly when D has a witness, an orbit holding D's key at |D|
+    (see _witness_scan).  Orbit removal removes orbits in order of
+    minimal point, so the last other holder of D's key at each depth,
+    read once per round, says how long f_D stays that deep: the last
+    witness, how long the factor stays trivial.  Labels are relabelled
     only at ZelReduce; in between, a point's label is its label at the
     last relabelling minus the number of removed points below it.  Those
     are counted in O(log n): a bytearray marks removed labels and is
@@ -500,32 +490,40 @@ def _pairwise_closure(group: PermGroup) -> PermGroup:
     """The 2-closure of a group in the class, from its coordinates.
 
     Every constituent is regular, so the closure is the x in the product
-    of the Z_|D| whose projection on each pair of orbits D < E lies in the
-    group's (Wielandt, 1969): x_E = b x_D mod c, where _index gives that
-    projection as <(1, b), (0, c)>; orbits that share no generator impose
-    nothing.  Each condition a row breaks runs _echelon on the rows, their
-    residues a first column of size c; the later pivot rows keep it and
-    stay in echelon form, a strong generating set for the base 0..n-1 (an
-    element fixing a point of a regular orbit fixes the orbit).  Raises
-    PreconditionFailed outside the class.
+    of the Z_|D| whose projection on each pair of orbits lies in the
+    group's (Wielandt, 1969): per prime p, x_D / s_D = x_E / s_E mod p^t
+    for two holders of one key at p^t (see _keys).  Linking each holder
+    to the key's first implies the rest, and the deepest key held before
+    D, at p^T, the shallower ones: so D links to that key's first holder
+    E by x_D = (s_D / s_E) x_E mod p^T, a forest whose depth T drops
+    along every path.  A D with p^T below the p-part of |D| gets one
+    generator, p^T times the CRT idempotent of p on D down D's subtree,
+    summed over such p.  It is zero on the orbits before D: a strong
+    generating set for the base 0..n-1, as an element fixing a point of
+    a regular orbit fixes the orbit.  PreconditionFailed outside the class.
     """
-    coords = _coordinates(group)
-    shapes, memo = list(zip(coords.sizes, coords.rows)), {}
-    rows = [{d + 1: 1} for d, q in enumerate(coords.sizes) if q > 1]  # orbit d: column d + 1
-    pairs = {(d, e) for ds in _movers(coords.rows).values() for i, d in enumerate(ds) for e in ds[i + 1:]}
-    for d, e in sorted(pairs):
-        key = (shapes[e], shapes[d])
-        c, b = memo.get(key) or memo.setdefault(key, _index(*key))
-        residues = [(row.get(e + 1, 0) - b * row.get(d + 1, 0)) % c for row in rows]
-        if any(residues):
-            augmented = [{0: r, **row} if r else row for r, row in zip(residues, rows)]
-            rows = [pivot for j, pivot in _echelon([c, *coords.sizes], augmented).items() if j]
+    sizes, points, rows = coords = _coordinates(group)
+    tops, links = {}, {}  # links[p, E]: (D, the link times the idempotent of p on D)
+    for d, (q, row, held) in enumerate(zip(sizes, rows, _holders(coords))):
+        for p, pa in _prime_parts(q):
+            idempotent, pt, e = q // pa * pow(q // pa, -1, pa), 1, d
+            for depth, on in held:  # ascending in depth: the last one held before is the deepest
+                if pa % depth == 0 and on[0] < d:
+                    pt, e = depth, on[0]
+            if pt > 1:
+                unit = pow(next(v for _, v in rows[e] if v % p), -1, pt) * next(v for _, v in row if v % p)
+                links.setdefault((p, e), []).append((d, unit % pt * idempotent))
+            if pt < pa:
+                tops.setdefault(d, []).append((p, pt * idempotent))
     gens = []
-    for row in rows:
-        images = list(range(group.degree))
-        for col, v in row.items():  # coordinate i goes to i + v
-            pts = coords.points[col - 1]
-            for x, y in zip(pts, pts[v:] + pts[:v]):
-                images[x] = y
+    for d, top in tops.items():
+        images, x, stack = list(range(group.degree)), {}, [(d, p, v) for p, v in top]
+        while stack:
+            e, p, v = stack.pop()
+            x[e] = (x.get(e, 0) + v) % sizes[e]
+            stack += ((f, p, u * v % sizes[f]) for f, u in links.get((p, e), ()))
+        for e, v in x.items():  # coordinate i goes to i + v
+            pts = points[e]
+            any(map(images.__setitem__, pts, pts[v:] + pts[:v]))
         gens.append(Permutation._unchecked(tuple(images)))
     return PermGroup(group.degree, gens)

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import sys
+from heapq import merge
 from itertools import compress
 from operator import ne
 
@@ -21,8 +22,11 @@ from twoclosure.decider import (
     ReductionTrace,
     Step,
     _Coordinates,
+    _coordinates,
+    _echelon,
     _prime_parts,
     _product_walk,
+    _xgcd,
 )
 from twoclosure.perm import prime_factors
 from twoclosure.reduction import remove_orbit, sylow_decomposition
@@ -173,6 +177,94 @@ def reference_coordinates(group):
         walks.append(tuple(walk))
         rows.append(seen.setdefault(row, row))
     return _Coordinates(sizes, walks, rows)
+
+
+def reference_index(a, b):
+    """decider._index as the library computed it before it hashed rows:
+    (h, x), h the index in Z_|a| of the shifts on orbit a of the elements
+    that fix orbit b pointwise, for two orbit shapes (size, row), from a
+    two-column echelon; (1, x) and (0, h) generate the shifts on (b, a)."""
+    (qa, ra), (qb, rb) = a, b
+    h, x, y, on_b = qa, 0, qb, dict(rb)
+    for s, t in (*((s, on_b.pop(i, 0)) for i, s in ra), *((0, t) for t in on_b.values())):
+        g, u, w = _xgcd(y, t)
+        h = math.gcd(h, ((t // g) * x - (y // g) * s) % h)
+        if h == 1:
+            return 1, x
+        x, y = (u * x + w * s) % qa, g
+    return h, x
+
+
+def _reference_movers(rows):
+    movers = {}
+    for d, row in enumerate(rows):
+        for h, _ in row:
+            movers.setdefault(h, []).append(d)
+    return movers
+
+
+def reference_witness_scan(coords):
+    """decider._witness_scan as the library computed it before it hashed
+    rows: for each orbit, from the top down over the orbits that share a
+    generator with it, reference_index until the first witness (index
+    |D|), keeping the (j, index) pairs of index above 1 on the way."""
+    shapes = list(zip(coords.sizes, coords.rows))
+    k, movers = len(shapes), _reference_movers(coords.rows)
+    witness, found = [], []
+    for i, (q, row) in enumerate(shapes):
+        w, pairs, last = -1, [], i
+        if q == 1:
+            w, below = k - 1 if i < k - 1 else k - 2, ()
+        else:
+            below = merge(*(reversed(movers[h]) for h, _ in row), reverse=True)
+        for j in below:
+            if j == last or j == i:
+                continue
+            last = j
+            h, _ = reference_index(shapes[i], shapes[j])
+            if h == q:
+                w = j
+                break
+            if h > 1:
+                pairs.append((j, h))
+        witness.append(w)
+        found.append(pairs)
+    return witness, found
+
+
+def reference_zel_factors(coords, witness, found, lo):
+    """f_D for each orbit from lo on: |D| if a witness is left, else the
+    lcm of the indices of the orbits left."""
+    return [q if w >= lo else math.lcm(*(h for j, h in pairs if j >= lo))
+            for q, w, pairs in zip(coords.sizes[lo:], witness[lo:], found[lo:])]
+
+
+def reference_pairwise_closure(group):
+    """decider._pairwise_closure as the library computed it before its
+    forest of keys: for each pair of orbits D < E that share a generator,
+    the congruence x_E = b x_D mod c that reference_index gives, each one
+    a row breaks folded in by an echelon with the residues as a first
+    column of size c; the pivot rows are the generators."""
+    coords = _coordinates(group)
+    shapes = list(zip(coords.sizes, coords.rows))
+    rows = [{d + 1: 1} for d, q in enumerate(coords.sizes) if q > 1]
+    movers = _reference_movers(coords.rows).values()
+    pairs = {(d, e) for ds in movers for i, d in enumerate(ds) for e in ds[i + 1:]}
+    for d, e in sorted(pairs):
+        c, b = reference_index(shapes[e], shapes[d])
+        residues = [(row.get(e + 1, 0) - b * row.get(d + 1, 0)) % c for row in rows]
+        if any(residues):
+            augmented = [{0: r, **row} if r else row for r, row in zip(residues, rows)]
+            rows = [pivot for j, pivot in _echelon([c, *coords.sizes], augmented).items() if j]
+    gens = []
+    for row in rows:
+        images = list(range(group.degree))
+        for col, v in row.items():
+            pts = coords.points[col - 1]
+            for x, y in zip(pts, pts[v:] + pts[:v]):
+                images[x] = y
+        gens.append(Permutation(tuple(images)))
+    return PermGroup(group.degree, gens)
 
 
 def reference_cycles(perm, include_fixed=False):

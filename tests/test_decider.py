@@ -11,6 +11,9 @@ from conftest import (
     random_coupled_blocks,
     reference_coordinates,
     reference_decide,
+    reference_pairwise_closure,
+    reference_witness_scan,
+    reference_zel_factors,
     stack_depth,
 )
 from twoclosure import decider
@@ -34,8 +37,9 @@ from twoclosure.fixtures import (
     random_regular_abelian,
 )
 from twoclosure.cli import main
+from twoclosure.coloring import orb2, preserves
 from twoclosure.groupfile import serialize_group
-from twoclosure.oracle import is_2_closed_oracle
+from twoclosure.oracle import closure_order, is_2_closed_oracle
 from twoclosure.perm import DEFAULT_CAP, PermGroup, Permutation, prime_factors
 
 
@@ -431,3 +435,47 @@ def test_orders_agree_with_sympy_at_large_rank():
                     m //= p
                 p_parts.append(x ** m)
             assert first.order == PermutationGroup(p_parts).order()
+
+
+def assert_zel_factors_match_reference(group):
+    """The hashed scan against the pairwise one, on the whole group, as
+    zel() reads it, and on every Sylow part, as the chain does: f_D at
+    every cut-off lo, and on the parts the last witnesses."""
+    try:
+        coords = decider._coordinates(group)
+    except PreconditionFailed:
+        return
+    parts = [decider._sylow_part(coords, p) for p in prime_factors(decider._order(coords))]
+    for part in [coords, *parts]:
+        got, want = decider._witness_scan(part), reference_witness_scan(part)
+        for lo in range(len(part.sizes)):
+            assert decider._zel_factors(part, *got, lo) == reference_zel_factors(part, *want, lo), (group, lo)
+        if part is not coords:
+            assert got[0] == want[0], group
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 10**6), st.sampled_from([24, 64]))
+def test_zel_factors_match_the_pairwise_reference(seed, degree):
+    assert_zel_factors_match_reference(random_abelian_cyclic(seed, degree))
+    assert_zel_factors_match_reference(random_coupled_blocks(seed, degree))
+
+
+def test_zel_factors_match_the_pairwise_reference_on_fixtures():
+    for p in (2, 3, 5, 7, 11):
+        assert_zel_factors_match_reference(fixture_example1(p))
+        assert_zel_factors_match_reference(fixture_example2(p))
+
+
+def test_in_class_closure_matches_the_pairwise_reference(coupled_pool):
+    # the forest's generators may differ from the echelon's, but they
+    # generate a group of the same order with the same pair orbits; at
+    # degree 40, some coupled blocks have rows that agree only up to a unit
+    pool = [random_abelian_cyclic(seed, 64) for seed in range(100)] + coupled_pool
+    pool += [random_coupled_blocks(seed, 40) for seed in range(300)]
+    for g in pool:
+        got, want = decider._pairwise_closure(g), reference_pairwise_closure(g)
+        assert closure_order(got) == closure_order(want), g
+        c = orb2(g)
+        assert all(preserves(c, x) for x in got.generators), g
+        assert orb2(got) == c, g

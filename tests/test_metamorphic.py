@@ -4,9 +4,11 @@ The verdict and |G| (the Validate step's order) are invariants of the
 group as a permutation group, so they must not change when the points
 are relabelled, the generators shuffled, or a product of generator
 powers added as a generator.  For G and H on disjoint point sets,
-(G x H)^(2) = G^(2) x H^(2), so G x H is closed iff both are, and
-|G x H| = |G||H|.  Hypothesis runs derandomized, so every run checks the
-same instances in a fixed budget.
+(G x H)^(2) = G^(2) x H^(2), so G x H is closed iff both are,
+|G x H| = |G||H| and |(G x H)^(2)| = |G^(2)||H^(2)|; the closures of
+groups in the class need no search, so the last runs up to degree 128.
+Hypothesis runs derandomized, so every run checks the same instances in
+a fixed budget.
 """
 
 from hypothesis import given, settings
@@ -14,9 +16,11 @@ from hypothesis import strategies as st
 
 from conftest import random_coupled_blocks
 from twoclosure.decider import decide_2_closed
+from twoclosure.oracle import SearchLimits, closure_order, two_closure
 from twoclosure.perm import PermGroup, Permutation
 
 MAX_DEGREE = 40
+CLOSURE_DEGREE = 128
 
 
 def _answer(group):
@@ -81,6 +85,28 @@ def test_direct_product_is_closed_iff_both_factors_are():
         verdicts.add(closed)
         assert closed == (g_closed and h_closed)
         assert order == g_order * h_order
+
+    check()
+    assert verdicts == {True, False}
+
+
+def test_closure_order_of_a_direct_product_is_the_product():
+    limits = SearchLimits(max_degree=CLOSURE_DEGREE)
+
+    def closure(group):
+        return closure_order(two_closure(group, limits))
+
+    verdicts = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.integers(0, 10**6), st.integers(0, 10**6))
+    def check(a, b):
+        g = random_coupled_blocks(a, CLOSURE_DEGREE // 2)
+        h = random_coupled_blocks(b, CLOSURE_DEGREE // 2)
+        product = _direct_product(g, h)
+        order = closure(product)
+        verdicts.add(order == _answer(product)[1])
+        assert order == closure(g) * closure(h)
 
     check()
     assert verdicts == {True, False}

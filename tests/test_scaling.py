@@ -4,20 +4,22 @@ Each family is decided at a size N and at 2N, and the work is counted,
 not timed, so the checks read the same on any machine.  A cost linear
 in the size about doubles; a quadratic one about quadruples.  Two parts
 of the chain could turn quadratic without changing any trace:
-  - the witness scan.  It pairs only orbits that share a generator, so
-    indep k x Z2 (no two orbits share one) calls _index for no pair and
-    diag Z2 (one generator moves every orbit) for one pair per orbit
-    before it meets a witness; a scan over every pair calls it k^2 times;
+  - the witness scan.  It hashes each orbit's row into depth keys, once
+    per distinct shape (size, row), and reads each key's holders once per
+    round, so it visits no pair of orbits: diag Z2 (every orbit one shape) builds
+    keys once, and the private family (one generator moving every block,
+    plus one per block: every orbit its own shape) once per orbit, where
+    a scan over the pairs that share a generator visits k^2 of them;
   - the relabelling at OrbitRemoval.  A point's new label subtracts the
     removed labels below it, counted in O(log n): a bytearray count
     inside the point's block of 128 labels plus a Fenwick tree over the
     blocks below.  A count from label 0 costs O(n) per point.
-The lines _chain and _witness_scan run stand for the chain's Python
-work: a loop that grows with the degree per point or per orbit shows in
-their ratio.  zel() runs the same witness scan, so it is held to the
-same pair counts.  _index reads only two orbit shapes (size and nonzero
-shifts), and one scan computes it once per pair of shapes it meets, so
-diag Z2, whose orbits all have one shape, calls it once.
+The lines _chain and the scan's functions run stand for the chain's
+Python work: a loop that grows with the degree per point or per orbit
+shows in their ratio.  zel() runs the same scan, so it is held to the
+same key counts.  The in-class closure reads the same keys, as a forest
+with one link per orbit and prime, so its lines grow with the orbits and
+its output, not with the pairs of orbits that share a generator.
 
 The coordinates every decide, zel and in-class closure starts from are
 built from each generator's cycles, over the points it moves, so the
@@ -33,7 +35,6 @@ sparse generators runs as many perm.py lines at any degree.
 import os
 import random
 import sys
-from functools import partial
 
 from twoclosure import decider, perm
 from twoclosure.decider import decide_2_closed
@@ -46,14 +47,16 @@ BOUND = 2.5
 
 def _blocks(k, generators, seed=0):
     """k blocks of 2 points under relabelled points, with one generator
-    swapping every block (diag), one per block (indep), or one per pair
-    of neighbours, generator i swapping blocks i and i + 1 each within
-    itself (linked), so that every orbit but the two ends has two movers."""
+    swapping every block (diag), one per block (indep), both (private), or
+    one per pair of neighbours, generator i swapping blocks i and i + 1
+    each within itself (linked), so that every orbit but the two ends has
+    two movers."""
     sigma = list(range(2 * k))
     random.Random(seed).shuffle(sigma)
     pairs = [(sigma[2 * b], sigma[2 * b + 1]) for b in range(k)]
     gens = []
     layouts = {"diag": [pairs], "indep": [[pair] for pair in pairs],
+               "private": [pairs] + [[pair] for pair in pairs],
                "linked": [pairs[i:i + 2] for i in range(k - 1)]}
     for block in layouts[generators]:
         images = list(range(2 * k))
@@ -90,8 +93,14 @@ def _lines(counted, run):
 
 def _chain_lines(group):
     """The number of lines _chain and its witness scan run to decide the group."""
-    counted = {decider._chain.__code__, decider._witness_scan.__code__}
+    counted = {f.__code__ for f in (decider._chain, decider._witness_scan, decider._holders, decider._keys)}
     return _lines(counted.__contains__, lambda: _decide_closed(group))
+
+
+def _closure_lines(group):
+    """The number of lines the in-class closure and the keys it reads run."""
+    counted = {f.__code__ for f in (decider._pairwise_closure, decider._holders, decider._keys)}
+    return _lines(counted.__contains__, lambda: decider._pairwise_closure(group))
 
 
 def _coordinate_lines(group):
@@ -117,50 +126,50 @@ def _sparse_perm_lines(n):
     return _lines(lambda code: code.co_filename == perm.__file__, run)
 
 
-def _index_calls(monkeypatch, run, group):
-    """The number of _index calls run(group) makes."""
+def _key_builds(monkeypatch, run, group):
+    """The number of _keys calls run(group) makes."""
     calls = 0
-    index = decider._index
+    keys = decider._keys
 
-    def counted(a, b):
+    def counted(q, row):
         nonlocal calls
         calls += 1
-        return index(a, b)
+        return keys(q, row)
 
-    monkeypatch.setattr(decider, "_index", counted)
+    monkeypatch.setattr(decider, "_keys", counted)
     run(group)
     return calls
 
 
-def test_witness_scan_pairs_only_orbits_that_share_a_generator(monkeypatch):
-    for k, generators, most in [(400, "indep", 0), (400, "diag", 400)]:
-        calls = _index_calls(monkeypatch, _decide_closed, _blocks(k, generators))
-        assert calls <= most, (generators, k, calls)
-
-
-def test_zel_uses_the_same_witness_scan(monkeypatch):
-    for k, generators, most in [(400, "indep", 0), (400, "diag", 400)]:
-        calls = _index_calls(monkeypatch, decider.zel, _blocks(k, generators))
-        assert calls <= most, (generators, k, calls)
-
-
-def test_witness_scan_computes_each_shape_pair_once(monkeypatch):
-    # every orbit of diag Z2 has the same shape (size 2, shifted by the one
-    # generator), so one scan needs one _index call however many orbits
+def test_witness_scan_builds_keys_once_per_shape(monkeypatch):
+    # every orbit of diag Z2 has one shape (size 2, shifted by the one
+    # generator), so a decide or a zel builds its keys once or twice
+    # however many orbits there are
     for run in (_decide_closed, decider.zel):
-        calls = _index_calls(monkeypatch, run, _blocks(400, "diag"))
+        calls = _key_builds(monkeypatch, run, _blocks(400, "diag"))
         assert calls <= 2, (run, calls)
 
 
-def test_in_class_closure_pairs_only_orbits_that_share_a_generator(monkeypatch):
-    # no two orbits of indep 200 x Z2 share a generator, so no pair of them
-    # is constrained and the closure is the whole product; the orbits of
-    # diag Z2 all share one, and all have one shape
-    limits = SearchLimits(max_degree=400)
-    closure = partial(two_closure, limits=limits)
-    assert _index_calls(monkeypatch, closure, _blocks(200, "indep")) == 0
-    assert closure_order(closure(_blocks(200, "indep"))) == 2 ** 200
-    assert _index_calls(monkeypatch, closure, _blocks(200, "diag")) == 1
+def test_private_generators_scale_about_linearly():
+    # every orbit has its own shape and shares the diagonal generator with
+    # every other: a scan over the pairs that share a generator is k^2
+    ratio = _chain_lines(_blocks(400, "private")) / _chain_lines(_blocks(200, "private"))
+    assert ratio < BOUND, ratio
+
+
+def test_in_class_closure_scales_about_linearly():
+    # diag Z2: one generator, on the first orbit, carried down a forest of
+    # k - 1 links; private: k generators, one per orbit, and no link
+    for generators in ("diag", "private"):
+        ratio = _closure_lines(_blocks(400, generators)) / _closure_lines(_blocks(200, generators))
+        assert ratio < BOUND, (generators, ratio)
+
+
+def test_in_class_closure_of_independent_blocks_is_the_whole_product():
+    # no two orbits of indep 200 x Z2 share a generator, so no pair of
+    # them is constrained
+    closure = two_closure(_blocks(200, "indep"), SearchLimits(max_degree=400))
+    assert closure_order(closure) == 2 ** 200
 
 
 def test_rank_counts_removed_labels_inside_one_block(monkeypatch):
