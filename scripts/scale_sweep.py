@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time parse, decide, zel and the 2-closure on five families at doubling degrees.
+"""Time parse, decide, zel and the 2-closure on six families at doubling degrees.
 
     python scripts/scale_sweep.py --max-degree 100000
 
@@ -12,6 +12,9 @@ a seeded shuffle, as a file from elsewhere would be:
            of 2 points, so that most orbits have two movers
   private  diag's generator plus indep's, so that every orbit has its
            own row and shares a generator with every other
+  mixed    one generator per block, shifting blocks of 2 and 3 points
+           alternately, so that decide splits it into a Sylow 2-part and
+           3-part, each with fixed points
   example1 fixture_example1(p) for the least prime p with 3p >= degree
 
 Every size runs in a fresh interpreter, so the max RSS column is that of
@@ -20,10 +23,10 @@ included).  zel_s times what `twoclosure zel` does after parsing: zel,
 the product of its generators' orders for the '# order' line, and
 serialize_group.  closure_s times two_closure with the degree cap at the
 degree, which every family here passes in the class, with no search,
-and closure_order.  indep, linked and private stop at INDEP_MAX_DEGREE,
-because their generators store about k * 2k images.  The last column is
-the decide time over that of the previous size: about 2 for a cost
-linear in the degree, about 4 for a quadratic one.
+and closure_order.  indep, linked, private and mixed stop at
+INDEP_MAX_DEGREE, because their generators store about k * 2k images.
+The last column is the decide time over that of the previous size:
+about 2 for a cost linear in the degree, about 4 for a quadratic one.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ import sys
 import time
 from pathlib import Path
 
-FAMILIES = ("diag", "indep", "linked", "private", "example1")
-CAPPED = ("indep", "linked", "private")
+FAMILIES = ("diag", "indep", "linked", "private", "mixed", "example1")
+CAPPED = ("indep", "linked", "private", "mixed")
 MIN_DEGREE = 250
 INDEP_MAX_DEGREE = 1600
 
@@ -60,6 +63,10 @@ def group_text(family: str, degree: int, seed: int = 0) -> str:
         p = next(p for p in range(max(2, -(-degree // 3)), 3 * degree + 2) if _is_prime(p))
         group = fixture_example1(p)
         degree, gens = group.degree, list(group.generators)
+    elif family == "mixed":
+        degree -= degree % 5
+        gens = [Permutation.from_cycles(degree, [cycle]) for s in range(0, degree, 5)
+                for cycle in ((s, s + 1), (s + 2, s + 3, s + 4))]
     else:
         k = degree // 2
         shifts = {"diag": [range(k)], "indep": [[b] for b in range(k)],

@@ -30,7 +30,9 @@ each step of the chain is integer arithmetic on those vectors:
   zel factor   on D, generated by c^f_D for the constituent generator c,
                f_D = lcm over D' != D of the index of the shifts on D of
                the elements fixing D' pointwise, read off hashed rows (_keys)
-  zel <= G     adding the vectors f_D e_D to the lattice keeps |G|
+  zel <= G     not if |zel| = prod |D| / f_D exceeds |G|; if equal, iff each
+               shift on D is a multiple of f_D; else iff adding the vectors
+               f_D e_D to the lattice keeps |G|
   ZelReduce    coordinate D taken mod f_D; |G| drops by prod |D| / f_D
   OrbitRemoval coordinate D dropped; |G| stays, since a trivial zel
                leaves no element that fixes every other orbit
@@ -294,6 +296,9 @@ def _sylow_part(coords: _Coordinates, p: int) -> _Coordinates:
     part = []
     for q, points, row in zip(*coords):
         pa = dict(_prime_parts(q)).get(p, 1)
+        if pa == 1:  # p does not divide q: q fixed points
+            part += [(x, 1, (x,), ()) for x in points]
+            continue
         r, unit = q // pa, pow(q // pa, -1, pa)
         row = tuple((h, v % pa) for h, v in row if v % pa)
         for j in range(r):
@@ -369,6 +374,15 @@ def _zel_factors(coords: _Coordinates, witness: list[int], found: list, lo: int)
             for q, w, pairs in zip(coords.sizes[lo:], witness[lo:], found[lo:])]
 
 
+def _zel_inside(coords: _Coordinates, zel: list[int], order: int) -> bool:
+    """Whether zel(G) <= G, for G of the given order and the factors f_D
+    (see the module docstring): the echelon runs only if |zel(G)| < |G|."""
+    size = math.prod(q // f for q, f in zip(coords.sizes, zel))
+    if size == order:
+        return all(v % f == 0 for row, f in zip(coords.rows, zel) for _, v in row)
+    return size < order and _order(coords, tuple({i: f} for i, f in enumerate(zel) if f < coords.sizes[i])) == order
+
+
 def _chain(coords: _Coordinates, order: int, steps: list[Step]) -> bool:
     """Reduce one p-group to its base case, appending the steps taken.
 
@@ -382,7 +396,8 @@ def _chain(coords: _Coordinates, order: int, steps: list[Step]) -> bool:
     last relabelling minus the number of removed points below it.  Those
     are counted in O(log n): a bytearray marks removed labels and is
     counted inside a block of 128 labels, and a Fenwick tree sums the
-    counts of the blocks below.
+    counts of the blocks below.  A ZelReduce to the trivial group leaves
+    fixed points alone, so the rest of its chain is appended unrelabelled.
 
     Returns False when the chain ends in ZelNotInside.
     """
@@ -422,16 +437,20 @@ def _chain(coords: _Coordinates, order: int, steps: list[Step]) -> bool:
             break
         zel = _zel_factors(coords, witness, found, lo)
         sizes, points, rows = coords = _Coordinates(sizes[lo:], points[lo:], rows[lo:])
-        if _order(coords, tuple({i: f} for i, f in enumerate(zel) if f < sizes[i])) != order:
+        if not _zel_inside(coords, zel, order):
             steps.append(Step(ZEL_NOT_INSIDE, degree, order))
             return False
         blocks = sorted((min(pts[b::f]), i, b)
                         for i, (pts, f) in enumerate(zip(points, zel)) for b in range(f))
         steps.append(Step(ZEL_REDUCE, degree, order, tuple(sizes[i] // zel[i] for _, i, _ in blocks)))
+        order //= math.prod(q // f for q, f in zip(sizes, zel))
+        if order == 1:  # G = zel(G): every block is a fixed point, removed in turn
+            steps.extend(Step(ORBIT_REMOVAL, d, 1, (0,)) for d in range(len(blocks), 1, -1))
+            degree = 1
+            break
         labels = [[0] * f for f in zel]
         for label, (_, i, b) in enumerate(blocks):
             labels[i][b] = label
-        order //= math.prod(q // f for q, f in zip(sizes, zel))
         coords = _Coordinates(zel, list(map(tuple, labels)),
                               [tuple((h, v % f) for h, v in row if v % f) for row, f in zip(rows, zel)])
         degree = len(blocks)

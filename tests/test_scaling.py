@@ -20,6 +20,9 @@ shows in their ratio.  zel() runs the same scan, so it is held to the
 same key counts.  The in-class closure reads the same keys, as a forest
 with one link per orbit and prime, so its lines grow with the orbits and
 its output, not with the pairs of orbits that share a generator.
+zel(G) <= G is read off |zel(G)| and |G| before any echelon, so decide
+runs `_order`, whose elimination can fill in, only once, for Validate's
+|G|, where zel(G) = G or |zel(G)| > |G|.
 
 The coordinates every decide, zel and in-class closure starts from are
 built from each generator's cycles, over the points it moves, so the
@@ -38,6 +41,7 @@ import sys
 
 from twoclosure import decider, perm
 from twoclosure.decider import decide_2_closed
+from twoclosure.fixtures import fixture_example1
 from twoclosure.groupfile import serialize_group
 from twoclosure.oracle import SearchLimits, closure_order, two_closure
 from twoclosure.perm import PermGroup, Permutation
@@ -126,17 +130,34 @@ def _sparse_perm_lines(n):
     return _lines(lambda code: code.co_filename == perm.__file__, run)
 
 
-def _key_builds(monkeypatch, run, group):
-    """The number of _keys calls run(group) makes."""
-    calls = 0
-    keys = decider._keys
+def _mixed(k, seed=0):
+    """k blocks of 2 and 3 points alternately under relabelled points,
+    each shifted by its own generator, so that decide splits the group
+    into a Sylow 2-part and 3-part, each with fixed points."""
+    sizes = [(2, 3)[b % 2] for b in range(k)]
+    n, start, gens = sum(sizes), 0, []
+    sigma = list(range(n))
+    random.Random(seed).shuffle(sigma)
+    for q in sizes:
+        images = list(range(n))
+        for x in range(q):
+            images[sigma[start + x]] = sigma[start + (x + 1) % q]
+        gens.append(Permutation(tuple(images)))
+        start += q
+    return PermGroup(n, gens)
 
-    def counted(q, row):
+
+def _calls(monkeypatch, name, run, group):
+    """The number of calls run(group) makes to the decider's function name."""
+    calls = 0
+    function = getattr(decider, name)
+
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return keys(q, row)
+        return function(*args)
 
-    monkeypatch.setattr(decider, "_keys", counted)
+    monkeypatch.setattr(decider, name, counted)
     run(group)
     return calls
 
@@ -146,8 +167,16 @@ def test_witness_scan_builds_keys_once_per_shape(monkeypatch):
     # generator), so a decide or a zel builds its keys once or twice
     # however many orbits there are
     for run in (_decide_closed, decider.zel):
-        calls = _key_builds(monkeypatch, run, _blocks(400, "diag"))
+        calls = _calls(monkeypatch, "_keys", run, _blocks(400, "diag"))
         assert calls <= 2, (run, calls)
+
+
+def test_decide_runs_the_echelon_once(monkeypatch):
+    # the echelon gives Validate's |G|; zel(G) <= G then follows from
+    # |zel(G)| and |G|: equal where zel(G) = G (indep, private and both
+    # Sylow parts of mixed), larger on example1, where |zel(G)| = p^3
+    for group in (_blocks(200, "indep"), _blocks(200, "private"), fixture_example1(7), _mixed(200)):
+        assert _calls(monkeypatch, "_order", decide_2_closed, group) == 1, group
 
 
 def test_private_generators_scale_about_linearly():
@@ -189,6 +218,11 @@ def test_rank_counts_removed_labels_inside_one_block(monkeypatch):
 
 def test_diag_z2_scales_about_linearly():
     ratio = _chain_lines(_blocks(20_000, "diag")) / _chain_lines(_blocks(10_000, "diag"))
+    assert ratio < BOUND, ratio
+
+
+def test_mixed_blocks_scale_about_linearly():
+    ratio = _chain_lines(_mixed(800)) / _chain_lines(_mixed(400))
     assert ratio < BOUND, ratio
 
 
