@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time parse, decide, zel and the 2-closure on six families at doubling degrees.
+"""Time parse, decide, zel and the 2-closure on seven families at doubling degrees.
 
     python scripts/scale_sweep.py --max-degree 100000
 
@@ -15,6 +15,9 @@ a seeded shuffle, as a file from elsewhere would be:
   mixed    one generator per block, shifting blocks of 2 and 3 points
            alternately, so that decide splits it into a Sylow 2-part and
            3-part, each with fixed points
+  composite one Z2 and one Z3 generator shifting every block of 6 points,
+           so that no generator covers an orbit and each orbit's walk is
+           composed from both
   example1 fixture_example1(p) for the least prime p with 3p >= degree
 
 Every size runs in a fresh interpreter, so the max RSS column is that of
@@ -42,7 +45,7 @@ import sys
 import time
 from pathlib import Path
 
-FAMILIES = ("diag", "indep", "linked", "private", "mixed", "example1")
+FAMILIES = ("diag", "indep", "linked", "private", "mixed", "composite", "example1")
 CAPPED = ("indep", "linked", "private", "mixed")
 MIN_DEGREE = 250
 INDEP_MAX_DEGREE = 1600
@@ -67,6 +70,10 @@ def group_text(family: str, degree: int, seed: int = 0) -> str:
         degree -= degree % 5
         gens = [Permutation.from_cycles(degree, [cycle]) for s in range(0, degree, 5)
                 for cycle in ((s, s + 1), (s + 2, s + 3, s + 4))]
+    elif family == "composite":
+        degree -= degree % 6
+        gens = [Permutation.from_cycles(degree, [tuple(range(s + b, s + 6, step)) for s in range(0, degree, 6)
+                                                 for b in range(step)]) for step in (3, 2)]
     else:
         k = degree // 2
         shifts = {"diag": [range(k)], "indep": [[b] for b in range(k)],

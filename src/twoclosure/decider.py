@@ -16,12 +16,12 @@ answers, recording one step per move:
 Every reduction strictly decreases the degree, so a chain ends after at
 most ``degree`` steps.
 
-No group element is ever enumerated.  A cyclic transitive constituent
-on an orbit D is regular, so a generator c of it numbers the points of
-D as base, base^c, base^(c^2), ... and every element of G shifts these
-coordinates by one residue mod |D|.  G is thus a subgroup of the product
-of the Z_|D|, spanned by one integer shift vector per generator, and
-each step of the chain is integer arithmetic on those vectors:
+No group element is ever enumerated.  A cyclic transitive constituent on an
+orbit D is regular, so a generator c of it, picked in _coordinates, numbers
+the points of D as base, base^c, base^(c^2), ... and every element of G
+shifts these coordinates by one residue mod |D|.  G is thus a subgroup of
+the product of the Z_|D|, spanned by one integer shift vector per generator,
+and each step of the chain is integer arithmetic on those vectors:
 
   |G|          prod |D| / prod of the echelon pivots of the lattice spanned
                by the shift vectors and the vectors |D| e_D
@@ -137,15 +137,14 @@ def _coordinates(group: PermGroup) -> _Coordinates:
 
     Each generator's cycles are walked once, from their minimal points,
     over the points it moves; a union-find joins cycles that share a point.
-    An orbit one generator moves is one of its cycles, the walk, shift 1.
-    One that several move is walked along the first that acts on it as a
-    q-cycle, q its size, or else along c (_product_walk); it is cyclic
-    exactly when each of them shifts that walk, and the first orbit, by
-    minimal point, that is not raises PreconditionFailed.  The constituent
-    generator c is the product, over the primes p dividing q, of the p-part
-    of the first generator whose cycle through the minimal point carries
-    the full p-part p^a of q; c shifts the walk by a unit s, so its
-    coordinates are the walk's divided by s.
+    Every orbit is walked along its constituent generator c: the product,
+    over the primes p dividing its size q, of the p-part of the first
+    generator whose cycle through the minimal point carries the full
+    p-part p^a of q.  So if q is a prime power, the walk is the first
+    q-cycle on the orbit; else _product_walk composes c from the cycles.
+    The orbit is cyclic exactly when every generator moving it shifts
+    that walk, and the first orbit, by minimal point, that is not raises
+    PreconditionFailed.
     """
     n, gens = group.degree, [g.images for g in group.generators]
     # owner[x]: the last cycle walked through x, or -1; parent leads a joined
@@ -178,7 +177,7 @@ def _coordinates(group: PermGroup) -> _Coordinates:
     fixed = [*compress(range(n), map((-1).__eq__, owner))]
     any(map(walks.__setitem__, fixed, zip(fixed)))
     for c, walk in enumerate(cycles):
-        if c not in joined:  # c's walk if q is a prime power, else oriented below
+        if c not in joined:  # c's walk if q is a prime power, else composed below
             if len(_prime_parts(len(walk))) > 1:
                 orbits[c] = [c]
             else:
@@ -186,61 +185,42 @@ def _coordinates(group: PermGroup) -> _Coordinates:
                 walks[walk[0]], rows[walk[0]] = walk, seen.setdefault(row, row)
     for base, ids in sorted((min(map(cycles.__getitem__, ids))[0], ids[::-1]) for ids in orbits.values()):
         points = {*chain.from_iterable(map(cycles.__getitem__, ids))}
-        q, shifts = len(points), dict.fromkeys(map(movers.__getitem__, ids), 0)
-        for c in ids:  # ascending, as are the movers; a cycle through base starts at base
-            if cycles[c][0] == base and len(cycles[c]) == q:
-                walk = cycles[c]
-                shifts[movers[c]] = 1
-                break
-        else:
-            walk = tuple(_product_walk(sorted(points), gens, [*shifts]))
+        q, shifts = len(points), dict.fromkeys(map(movers.__getitem__, ids))
+        if len(_prime_parts(q)) > 1:
+            walk = _product_walk(base, points, [(movers[c], cycles[c]) for c in ids])
+        else:  # c is the first mover that is a q-cycle; with none, no walk covers the orbit
+            walk = next((cycles[c] for c in ids if len(cycles[c]) == q), (base,))
         for h in shifts:
-            if not shifts[h]:
-                images = gens[h]
-                v = shifts[h] = walk.index(images[base]) if len(walk) == q else 0
-                if not v or tuple(map(images.__getitem__, walk)) != walk[v:] + walk[:v]:
-                    raise PreconditionFailed(f"the constituent on the orbit of {base} is not cyclic")
-        s = 0
-        for p, pa in _prime_parts(q):
-            for v in shifts.values():
-                length = q // math.gcd(v, q)
-                if length % pa == 0:
-                    s += v * (length // pa)
-                    break
+            images = gens[h]
+            v = shifts[h] = walk.index(images[base]) if len(walk) == q else 0
+            if not v or tuple(map(images.__getitem__, walk)) != walk[v:] + walk[:v]:
+                raise PreconditionFailed(f"the constituent on the orbit of {base} is not cyclic")
         row = tuple(shifts.items())
-        if s % q != 1:
-            unit = pow(s, -1, q)
-            walk = tuple(walk[s * i % q] for i in range(q))
-            row = tuple((h, v * unit % q) for h, v in row)
         walks[base], rows[base] = walk, seen.setdefault(row, row)
     rows, walks = [*compress(rows, walks)], [*filter(None, walks)]
     return _Coordinates([*map(len, walks)], walks, rows)
 
 
-def _product_walk(cls: tuple[int, ...], gens: list[tuple[int, ...]], sup: list[int]) -> list[int]:
-    """The walk from min(cls) of the constituent generator c, built from
-    the cycles on cls of the generators it takes a power of."""
-    q, c = len(cls), {x: x for x in cls}
+def _product_walk(base: int, points: set[int], cycles: list[tuple[int, tuple[int, ...]]]) -> tuple[int, ...]:
+    """The walk from base of c on an orbit of composite size, from the
+    (mover, cycle) pairs on it, ascending: per prime p, c takes h^(L/p^a)
+    for the first mover h whose first cycle, through base if h moves it,
+    has a length L that the p-part p^a divides."""
+    q, by_mover, c = len(points), {}, {x: x for x in points}
+    for h, cycle in cycles:
+        by_mover.setdefault(h, []).append(cycle)
     for p, pa in _prime_parts(q):
-        for h in sup:
-            images, power = gens[h], {}
-            for x in cls:
-                if x not in power:
-                    cycle = [x]
-                    while images[cycle[-1]] != x:
-                        cycle.append(images[cycle[-1]])
-                    if not power:
-                        e = len(cycle) // pa
-                        if len(cycle) % pa:
-                            break
-                    power.update((y, cycle[(j + e) % len(cycle)]) for j, y in enumerate(cycle))
-            else:
-                c = {x: power[y] for x, y in c.items()}
+        for own in by_mover.values():
+            if own[0][0] == base and len(own[0]) % pa == 0:
+                e, power = len(own[0]) // pa, {}
+                for cycle in own:  # all of length L, or the orbit fails the check after
+                    power.update(zip(cycle, cycle[e:] + cycle[:e]))
+                c = {x: power.get(y, y) for x, y in c.items()}
                 break
-    walk = [cls[0]]
-    while c[walk[-1]] != cls[0]:
+    walk = [base]
+    while c[walk[-1]] != base:
         walk.append(c[walk[-1]])
-    return walk
+    return tuple(walk)
 
 
 def _echelon(sizes: list[int], rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:

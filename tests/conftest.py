@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import signal
 import sys
 from heapq import merge
 from itertools import compress
@@ -25,7 +26,6 @@ from twoclosure.decider import (
     _coordinates,
     _echelon,
     _prime_parts,
-    _product_walk,
     _xgcd,
 )
 from twoclosure.perm import prime_factors
@@ -98,6 +98,24 @@ def random_coupled_blocks(seed, max_degree=14):
     return PermGroup(total, gens)
 
 
+def blocks_of_six(k, shifts, seed=0):
+    """k blocks of 6 points under relabelled points, each generator
+    shifting every block by its entry of shifts: (1,) is diag Z6, (1, 3)
+    a Z6 and a Z2 mover, (3, 2) a Z2 and a Z3 mover, which no generator
+    covers, so that c is the product of the two."""
+    n = 6 * k
+    sigma = list(range(n))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for amount in shifts:
+        images = list(range(n))
+        for start in range(0, n, 6):
+            for x in range(6):
+                images[sigma[start + x]] = sigma[start + (x + amount) % 6]
+        gens.append(Permutation(tuple(images)))
+    return PermGroup(n, gens)
+
+
 def reference_zel(group):
     """zel(G) by enumeration, as the library computed it before its
     coordinate form: the product over orbits D of the intersections of
@@ -154,7 +172,7 @@ def reference_coordinates(group):
                 shifts[h] = 1
                 break
         else:
-            walk = _product_walk(cls, gens, sup) if sup else [base]
+            walk = reference_product_walk(cls, gens, sup) if sup else [base]
         for h in sup:
             if not shifts[h]:
                 images = gens[h]
@@ -177,6 +195,33 @@ def reference_coordinates(group):
         walks.append(tuple(walk))
         rows.append(seen.setdefault(row, row))
     return _Coordinates(sizes, walks, rows)
+
+
+def reference_product_walk(cls, gens, sup):
+    """decider._product_walk as the library computed it before it composed
+    the cycles the coordinate pass walked: the walk from min(cls) of the
+    constituent generator c, each generator's cycles on cls walked again."""
+    q, c = len(cls), {x: x for x in cls}
+    for p, pa in _prime_parts(q):
+        for h in sup:
+            images, power = gens[h], {}
+            for x in cls:
+                if x not in power:
+                    cycle = [x]
+                    while images[cycle[-1]] != x:
+                        cycle.append(images[cycle[-1]])
+                    if not power:
+                        e = len(cycle) // pa
+                        if len(cycle) % pa:
+                            break
+                    power.update((y, cycle[(j + e) % len(cycle)]) for j, y in enumerate(cycle))
+            else:
+                c = {x: power[y] for x, y in c.items()}
+                break
+    walk = [cls[0]]
+    while c[walk[-1]] != cls[0]:
+        walk.append(c[walk[-1]])
+    return walk
 
 
 def reference_index(a, b):
@@ -640,3 +685,28 @@ def sweep_pool():
 def coupled_pool():
     """Instances with both verdicts and every step kind well represented."""
     return [random_coupled_blocks(seed) for seed in range(300)]
+
+
+TIME_LIMIT = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TIME_LIMIT seconds.  Not an Exception, so that
+    neither the code under test nor hypothesis catches it: hypothesis
+    would replay the example, and the replay hang with no alarm left."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TIME_LIMIT seconds, so that a hang
+    fails one test instead of stopping the suite."""
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past {TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

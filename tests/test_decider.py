@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     abelian_instances,
+    blocks_of_six,
     perm_groups,
     random_coupled_blocks,
     reference_coordinates,
@@ -310,9 +311,33 @@ def test_coordinates_match_the_reference(g):
     assert_coordinates_match_reference(g)
 
 
+def composite_shapes(group):
+    """For each orbit of composite size q: "covered" if a generator acts
+    on it as a q-cycle, "reoriented" too if the first such is not c, and
+    "product" if none does, so that c must be composed; none outside
+    the class."""
+    coords = coordinates_or_error(group, decider._coordinates)
+    if isinstance(coords, str):
+        return
+    for q, row in zip(coords.sizes, coords.rows):
+        if len(prime_factors(q)) > 1:
+            units = [v for _, v in row if math.gcd(v, q) == 1]  # ascending by generator
+            if not units:
+                yield "product"
+                continue
+            yield "covered"
+            if units[0] != 1:
+                yield "reoriented"
+
+
 def test_coordinates_match_the_reference_on_the_pools(sweep_pool, coupled_pool):
-    for g in sweep_pool + coupled_pool:
+    # the default pools hold no orbit of composite size; the wider ones do
+    wider = [random_coupled_blocks(seed, 36) for seed in range(300)]
+    wider += [random_regular_abelian(seed, 60) for seed in range(100)]
+    for g in sweep_pool + coupled_pool + wider:
         assert_coordinates_match_reference(g)
+    shapes = [shape for g in wider for shape in composite_shapes(g)]
+    assert set(shapes) == {"covered", "reoriented", "product"}, shapes
     for p in (2, 3, 5, 7, 11):
         assert_coordinates_match_reference(fixture_example1(p))
         assert_coordinates_match_reference(fixture_example2(p))
@@ -325,6 +350,69 @@ def test_the_first_orbit_that_fails_is_the_one_of_least_minimal_point():
     assert coordinates_or_error(g, decider._coordinates) == \
         "the constituent on the orbit of 0 is not cyclic"
     assert_coordinates_match_reference(g)
+
+
+def constituent_generator(group, orbit):
+    """c on the orbit, from the permutations: per prime p, g^(L / p^a)
+    for the first generator g whose cycle through min(orbit) has a
+    length L that the p-part p^a of |orbit| divides; the identity off
+    the orbit."""
+    base, q, c = min(orbit), len(orbit), Permutation.identity(group.degree)
+    for p in prime_factors(q):
+        pa = p
+        while q % (pa * p) == 0:
+            pa *= p
+        for g in group.generators:
+            length, x = 1, g.images[base]
+            while x != base:
+                length, x = length + 1, g.images[x]
+            if length % pa == 0:
+                c = c * g ** (length // pa)
+                break
+    images = list(range(group.degree))
+    for x in orbit:
+        images[x] = c.images[x]
+    return Permutation(tuple(images))
+
+
+def z15_z3():
+    """<(5, 1), (12, 0), (1, 0)> <= Z15 x Z3 as shifts of points 0-14 and
+    15-17: per prime, the first generator that qualifies is not the last,
+    and c = (5 + 12, 1) = (2, 1) is not the generator (1, 0) that covers
+    the orbit of 0."""
+    gens = []
+    for a, b in ((5, 1), (12, 0), (1, 0)):
+        gens.append(Permutation(tuple([(x + a) % 15 for x in range(15)] + [15 + (x + b) % 3 for x in range(3)])))
+    return PermGroup(18, gens)
+
+
+def with_private_shift(group, amount):
+    """The group and one more generator, shifting the orbit of 0 alone by
+    amount along the walk of its first generator."""
+    first, images = group.generators[0].images, list(range(group.degree))
+    walk = [0]
+    while first[walk[-1]] != 0:
+        walk.append(first[walk[-1]])
+    for i, x in enumerate(walk):
+        images[x] = walk[(i + amount) % len(walk)]
+    return PermGroup(group.degree, [*group.generators, Permutation(tuple(images))])
+
+
+def test_zel_generators_are_powers_of_the_constituent_generator():
+    # zel's generator on an orbit D is c^f_D, not any other generator of
+    # the same factor: on each family of blocks of 6, a private shift of
+    # the first block by 4 makes its factor <c^2>, and that shift is, for
+    # the prime 3, the last generator that qualifies
+    pool = [z15_z3()] + [with_private_shift(blocks_of_six(8, shifts), 4) for shifts in ((1,), (1, 3), (3, 2))]
+    pool += [random_coupled_blocks(seed, 36) for seed in range(300)]
+    checked = 0
+    for g in pool:
+        orbits = g.orbits().classes
+        for gen in zel(g).generators:
+            orbit = next(o for o in orbits if gen.images[o[0]] != o[0])
+            assert gen == constituent_generator(g, orbit) ** (len(orbit) // gen.order()), (g, orbit)
+            checked += len(prime_factors(len(orbit))) > 1
+    assert checked >= 10, checked
 
 
 @settings(deadline=None, max_examples=50)

@@ -28,7 +28,9 @@ The coordinates every decide, zel and in-class closure starts from are
 built from each generator's cycles, over the points it moves, so the
 lines that pass runs grow with the degree and the generators' supports,
 not with the degree times the number of generators (indep k x Z2, and
-linked, where generator i moves blocks i and i + 1).
+linked, where generator i moves blocks i and i + 1).  An orbit of
+prime-power size is walked along its first full cycle; only one of
+composite size has its generator c composed from the cycles, once.
 
 A permutation's cycle queries (cycles, order, **, is_identity, str) walk
 only its moved points, so building, printing and powering a group of
@@ -39,6 +41,7 @@ import os
 import random
 import sys
 
+from conftest import blocks_of_six
 from twoclosure import decider, perm
 from twoclosure.decider import decide_2_closed
 from twoclosure.fixtures import fixture_example1
@@ -237,6 +240,21 @@ def test_coordinates_scale_about_linearly():
     for generators in ("indep", "linked"):
         ratio = _coordinate_lines(_blocks(400, generators)) / _coordinate_lines(_blocks(200, generators))
         assert ratio < BOUND, (generators, ratio)
+    # blocks of 6 moved by a Z2 and a Z3 generator: c is composed per orbit
+    ratio = _coordinate_lines(blocks_of_six(400, (3, 2))) / _coordinate_lines(blocks_of_six(200, (3, 2)))
+    assert ratio < BOUND, ratio
+
+
+def test_only_orbits_of_composite_size_compose_their_walk(monkeypatch):
+    # a prime-power orbit is walked along its first full cycle, a lone
+    # cycle without even the sort of the joined orbits (about 22 lines
+    # per block of diag Z2, 35 through the sort)
+    for group in (_blocks(200, "diag"), _blocks(200, "indep"), _blocks(200, "private"), fixture_example1(7)):
+        assert _calls(monkeypatch, "_product_walk", decider._coordinates, group) == 0, group
+    for shifts in ((1,), (1, 3), (3, 2)):
+        assert _calls(monkeypatch, "_product_walk", decider._coordinates, blocks_of_six(200, shifts)) == 200, shifts
+    lines = _coordinate_lines(_blocks(200, "diag"))
+    assert lines < 30 * 200, lines
 
 
 def test_sparse_permutations_cost_their_support_not_their_degree():
