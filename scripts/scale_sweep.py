@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time parse, decide, zel and the 2-closure on seven families at doubling degrees.
+"""Time parse, decide, zel and the 2-closure on eight families at doubling degrees.
 
     python scripts/scale_sweep.py --max-degree 100000
 
@@ -18,15 +18,19 @@ a seeded shuffle, as a file from elsewhere would be:
   composite one Z2 and one Z3 generator shifting every block of 6 points,
            so that no generator covers an orbit and each orbit's walk is
            composed from both
+  primes   one generator per block, shifting blocks of 2, 3, 5 and 7
+           points in turn, so that decide splits it four ways and each
+           Sylow part fixes most of the points
   example1 fixture_example1(p) for the least prime p with 3p >= degree
 
 Every size runs in a fresh interpreter, so the max RSS column is that of
 one parse, one decide, one zel and one closure (text generation
 included).  zel_s times what `twoclosure zel` does after parsing: zel,
-the product of its generators' orders for the '# order' line, and
-serialize_group.  closure_s times two_closure with the degree cap at the
-degree, which every family here passes in the class, with no search,
-and closure_order.  indep, linked, private and mixed stop at
+one walk of each generator's cycles, the product of their orders for
+the '# order' line, and the group file written from those cycles.
+closure_s times two_closure with the degree cap at the degree, which
+every family here passes in the class, with no search, and
+closure_order.  indep, linked, private, mixed and primes stop at
 INDEP_MAX_DEGREE, because their generators store about k * 2k images.
 The last column is the decide time over that of the previous size:
 about 2 for a cost linear in the degree, about 4 for a quadratic one.
@@ -45,8 +49,8 @@ import sys
 import time
 from pathlib import Path
 
-FAMILIES = ("diag", "indep", "linked", "private", "mixed", "composite", "example1")
-CAPPED = ("indep", "linked", "private", "mixed")
+FAMILIES = ("diag", "indep", "linked", "private", "mixed", "composite", "primes", "example1")
+CAPPED = ("indep", "linked", "private", "mixed", "primes")
 MIN_DEGREE = 250
 INDEP_MAX_DEGREE = 1600
 
@@ -70,6 +74,10 @@ def group_text(family: str, degree: int, seed: int = 0) -> str:
         degree -= degree % 5
         gens = [Permutation.from_cycles(degree, [cycle]) for s in range(0, degree, 5)
                 for cycle in ((s, s + 1), (s + 2, s + 3, s + 4))]
+    elif family == "primes":
+        degree -= degree % 17
+        gens = [Permutation.from_cycles(degree, [tuple(range(s + start, s + start + q))])
+                for s in range(0, degree, 17) for start, q in ((0, 2), (2, 3), (5, 5), (10, 7))]
     elif family == "composite":
         degree -= degree % 6
         gens = [Permutation.from_cycles(degree, [tuple(range(s + b, s + 6, step)) for s in range(0, degree, 6)
@@ -91,7 +99,7 @@ def run_one(family: str, degree: int) -> dict:
     """Parse and decide one instance in this process, then run what
     `twoclosure zel` runs after parsing, then the closure."""
     from twoclosure.decider import decide_2_closed, zel
-    from twoclosure.groupfile import parse_group, serialize_group
+    from twoclosure.groupfile import parse_group, serialize_cycles
     from twoclosure.oracle import SearchLimits, closure_order, two_closure
 
     text = group_text(family, degree)
@@ -101,8 +109,9 @@ def run_one(family: str, degree: int) -> dict:
     closed, trace = decide_2_closed(group)
     t2 = time.perf_counter()
     z = zel(group)
-    math.prod(g.order() for g in z.generators)
-    serialize_group(z)
+    cycles = [g.cycles() for g in z.generators]
+    math.prod(math.lcm(*map(len, c)) for c in cycles)
+    serialize_cycles(z.degree, cycles)
     t3 = time.perf_counter()
     closure_order(two_closure(group, SearchLimits(max_degree=group.degree)))
     t4 = time.perf_counter()

@@ -42,7 +42,7 @@ from .fixtures import (
     random_abelian_cyclic,
     random_regular_abelian,
 )
-from .groupfile import parse_group, serialize_group
+from .groupfile import parse_group, serialize_cycles, serialize_group
 from .oracle import BudgetExceeded, closure_order, is_2_closed_oracle, two_closure
 from .perm import CapExceeded, PermGroup
 
@@ -101,9 +101,11 @@ def _cmd_closure(args) -> int:
 
 def _cmd_zel(args) -> int:
     z = zel(_read_group(args.file))
+    cycles = [g.cycles() for g in z.generators]  # walked once, for the order and the text
     # one generator per orbit that zel moves, on disjoint point sets, so
     # |zel(G)| is the product of the generators' orders
-    _print_group(z, math.prod(g.order() for g in z.generators))
+    print(f"# order {math.prod(math.lcm(*map(len, c)) for c in cycles)}")
+    print(serialize_cycles(z.degree, cycles), end="")
     return 0
 
 

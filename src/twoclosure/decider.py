@@ -38,22 +38,26 @@ and each step of the chain is integer arithmetic on those vectors:
                leaves no element that fixes every other orbit
 
 The vectors are held by orbit and sparse: _Coordinates keeps parallel
-lists, indexed by orbit in order of minimal point, of the sizes, the
-points in coordinate order (so the steps report the orbits of the group
-they describe) and the rows, each orbit's nonzero shifts as ascending
-(generator, shift) pairs, equal rows sharing one tuple.  They cost O(n)
-in C plus O(sum of |supp g|) in Python, as each generator's cycles are
-walked once.  The witness scan (the chain's and zel()'s) and the
-closure read one index from keys to the orbits holding them (_holders):
-one _keys per distinct (size, row), then O(log |D|) steps per orbit.
+lists, indexed by orbit of size > 1 in order of minimal point, of the
+sizes, the points in coordinate order (so the steps report the orbits of
+the group they describe) and the rows, each orbit's nonzero shifts as
+ascending (generator, shift) pairs, equal rows sharing one tuple; and
+apart, as fixed, the fixed points in ascending order, which have no
+coordinate, so that a Sylow part costs no Python work per point it
+fixes beyond the step removing it.  They cost O(n) in C plus O(sum of
+|supp g|) in Python, as each generator's cycles are walked once.  The
+witness scan (the chain's and zel()'s) and the closure read one index
+from keys to the orbits holding them (_holders): one _keys per distinct
+(size, row), then O(log |D|) steps per orbit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
-from operator import ne
+from operator import ne, not_
 from typing import Iterable, NamedTuple
 
 from .perm import PermGroup, Permutation, prime_factors
@@ -113,6 +117,7 @@ class _Coordinates(NamedTuple):
     sizes: list[int]
     points: list[tuple[int, ...]]
     rows: list[tuple[tuple[int, int], ...]]
+    fixed: list[int]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -174,8 +179,6 @@ def _coordinates(group: PermGroup) -> _Coordinates:
         orbits.setdefault(parent[c], []).append(c)
     # walks[x], rows[x]: the walk and row of the orbit whose minimal point is x
     walks, rows, seen = [None] * n, [()] * n, {}
-    fixed = [*compress(range(n), map((-1).__eq__, owner))]
-    any(map(walks.__setitem__, fixed, zip(fixed)))
     for c, walk in enumerate(cycles):
         if c not in joined:  # c's walk if q is a prime power, else composed below
             if len(_prime_parts(len(walk))) > 1:
@@ -198,7 +201,7 @@ def _coordinates(group: PermGroup) -> _Coordinates:
         row = tuple(shifts.items())
         walks[base], rows[base] = walk, seen.setdefault(row, row)
     rows, walks = [*compress(rows, walks)], [*filter(None, walks)]
-    return _Coordinates([*map(len, walks)], walks, rows)
+    return _Coordinates([*map(len, walks)], walks, rows, [*compress(range(n), map((-1).__eq__, owner))])
 
 
 def _product_walk(base: int, points: set[int], cycles: list[tuple[int, tuple[int, ...]]]) -> tuple[int, ...]:
@@ -272,12 +275,15 @@ def _sylow_part(coords: _Coordinates, p: int) -> _Coordinates:
     p-part acts on each coset as Z_(p^a), shifting by the residue mod p^a
     of the whole group's shift (Chinese remainder theorem); the point at
     coordinate s of coset j is the one at j + r (s r^-1 mod p^a) in D.
+    An orbit whose size p does not divide is fixed pointwise, and those
+    are passed over in C.
     """
-    part = []
-    for q, points, row in zip(*coords):
-        pa = dict(_prime_parts(q)).get(p, 1)
-        if pa == 1:  # p does not divide q: q fixed points
-            part += [(x, 1, (x,), ()) for x in points]
+    part, rests = [], [*map(p.__rmod__, coords.sizes)]  # q % p, zero where p divides q
+    fixed = sorted(chain(coords.fixed, *compress(coords.points, rests)))
+    for q, points, row in compress(zip(coords.sizes, coords.points, coords.rows), map(not_, rests)):
+        pa = math.gcd(q, p ** q.bit_length())
+        if pa == q:  # the orbit itself, walked from its minimal point
+            part.append((points[0], q, points, row))
             continue
         r, unit = q // pa, pow(q // pa, -1, pa)
         row = tuple((h, v % pa) for h, v in row if v % pa)
@@ -285,7 +291,7 @@ def _sylow_part(coords: _Coordinates, p: int) -> _Coordinates:
             coset = tuple(points[j + r * (s * unit % pa)] for s in range(pa))
             part.append((min(coset), pa, coset, row))
     part.sort()  # minimal points are distinct, so they alone decide the order
-    return _Coordinates(*([o[i] for o in part] for i in range(1, 4)))
+    return _Coordinates(*([o[i] for o in part] for i in range(1, 4)), fixed)
 
 
 def _keys(q: int, row: tuple[tuple[int, int], ...]) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -313,16 +319,15 @@ def _keys(q: int, row: tuple[tuple[int, int], ...]) -> list[tuple[int, tuple[tup
 
 def _holders(coords: _Coordinates) -> list[list[tuple[int, list[int]]]]:
     """For each orbit, the pairs (p^t, the orbits holding its key at p^t,
-    ascending); _keys runs once per (size, row), and a fixed point holds none."""
-    sizes, rows, memo, lists, held = coords.sizes, coords.rows, {}, {}, [()] * len(coords.sizes)
-    for d in compress(range(len(sizes)), map((1).__lt__, sizes)):
-        shape = sizes[d], rows[d]
+    ascending); _keys runs once per (size, row)."""
+    memo, lists, held = {}, {}, []
+    for d, shape in enumerate(zip(coords.sizes, coords.rows)):
         on = memo.get(shape)
         if on is None:
             on = memo[shape] = [(key[0], lists.setdefault(key, [])) for key in _keys(*shape)]
         for _, ds in on:
             ds.append(d)
-        held[d] = on
+        held.append(on)
     return held
 
 
@@ -330,19 +335,18 @@ def _witness_scan(coords: _Coordinates) -> tuple[list[int], list[tuple[tuple[int
     """For each orbit D, its last witness, or -1, and a pair (j, p^t) for
     each other depth p^t whose last other holder j of D's key comes after
     that witness.  A witness holds D's key at |D|, a prime power, so its
-    pointwise stabilizer fixes D; a fixed point's is the top other orbit."""
-    sizes, k, held = coords.sizes, len(coords.sizes), _holders(coords)
-    witness, found = [k - 1] * k, [()] * k  # no empty list kept per orbit
-    witness[-1] = k - 2
-    for d in compress(range(k), held):
+    pointwise stabilizer fixes D."""
+    witness, found = [], []
+    for d, (q, held) in enumerate(zip(coords.sizes, _holders(coords))):
         w, pairs = -1, []
-        for pt, on in reversed(held[d]):  # deepest first
+        for pt, on in reversed(held):  # deepest first
             j = on[-1] if on[-1] != d else on[-2] if len(on) > 1 else -1
-            if pt == sizes[d]:
+            if pt == q:
                 w = j
             elif j > w:
                 pairs.append((j, pt))
-        witness[d], found[d] = w, pairs or ()
+        witness.append(w)
+        found.append(pairs or ())  # no empty list kept per orbit
     return witness, found
 
 
@@ -363,6 +367,12 @@ def _zel_inside(coords: _Coordinates, zel: list[int], order: int) -> bool:
     return size < order and _order(coords, tuple({i: f} for i, f in enumerate(zel) if f < coords.sizes[i])) == order
 
 
+def _fixed_removals(degree: int, count: int, order: int) -> Iterable[Step]:
+    """The steps removing count fixed points in turn, from the given degree."""
+    return map(tuple.__new__, repeat(Step),  # the kind is known, so Step's check is skipped
+               zip(repeat(ORBIT_REMOVAL), range(degree, degree - count, -1), repeat(order), repeat((0,))))
+
+
 def _chain(coords: _Coordinates, order: int, steps: list[Step]) -> bool:
     """Reduce one p-group to its base case, appending the steps taken.
 
@@ -371,36 +381,53 @@ def _chain(coords: _Coordinates, order: int, steps: list[Step]) -> bool:
     (see _witness_scan).  Orbit removal removes orbits in order of
     minimal point, so the last other holder of D's key at each depth,
     read once per round, says how long f_D stays that deep: the last
-    witness, how long the factor stays trivial.  Labels are relabelled
-    only at ZelReduce; in between, a point's label is its label at the
-    last relabelling minus the number of removed points below it.  Those
-    are counted in O(log n): a bytearray marks removed labels and is
-    counted inside a block of 128 labels, and a Fenwick tree sums the
-    counts of the blocks below.  A ZelReduce to the trivial group leaves
-    fixed points alone, so the rest of its chain is appended unrelabelled.
+    witness, how long the factor stays trivial.  A fixed point never
+    stops a run and its removal is (0,), so a run removes, by bisecting
+    fixed, the fixed points below each orbit it removes just before it.
+    Labels are relabelled only at ZelReduce, where a fixed point is a
+    block of size 1 and an orbit with f_D = 1 joins fixed; in between, a
+    point's label is its label then minus the removed points below it,
+    counted in O(log n): a bytearray marks removed labels and is counted
+    inside a block of 128 labels, and a Fenwick tree sums the counts of
+    the blocks below.  If G is the product of its constituents, zel(G) =
+    G and the chain ends in closed form: ZelReduce, then a trivial group
+    whose fixed points are removed in turn.
 
     Returns False when the chain ends in ZelNotInside.
     """
-    degree = sum(coords.sizes)
-    while len(coords.sizes) > 1:
-        sizes, points, rows = coords
+    degree = sum(coords.sizes) + len(coords.fixed)
+    while len(coords.sizes) + len(coords.fixed) > 1:
+        sizes, points, rows, fixed = coords
         k = len(sizes)
+        if k < order.bit_length() and order == math.prod(sizes):  # as 2^k <= prod |D|
+            detail = [1] * (k + len(fixed))  # G is the product of its constituents: zel(G) = G
+            for i, pts in enumerate(points):
+                detail[i + bisect(fixed, min(pts))] = sizes[i]
+            if k:
+                steps.append(Step(ZEL_REDUCE, degree, order, tuple(detail)))
+            steps += _fixed_removals(len(detail), len(detail) - 1, 1)
+            degree = order = 1
+            break
         witness, found = _witness_scan(coords)
         lowest = list(accumulate(reversed(witness), min))[::-1]  # lowest[i] = min(witness[i:])
         # The minimal point of orbit lo is the least label left, so its new
-        # label is 0 and the labels below it are those of the lo orbits
-        # removed before.  So only the other points of removed orbits are
-        # marked; a point's new label is its label minus lo and the marks
-        # below it.  The points of orbit lo are marked as they are counted,
-        # in ascending order, so the n-th finds n - 1 of its own marked.
+        # label is 0 and the labels below it are those of the lo orbits and
+        # gone fixed points removed before.  So only the other points of
+        # removed orbits are marked, and a point's new label is its label
+        # minus lo, gone and the marks below it.  Orbit lo's points are marked
+        # as they are counted, ascending, so the n-th finds n - 1 marked.
         marked, tree = bytearray(degree), [0] * ((degree >> 7) + 2)
-        top, lo = len(tree), 0
-        while lo < k - 1 and lowest[lo] >= lo:
+        top, lo, gone = len(tree), 0, 0
+        while lowest[lo] >= lo:  # never at k - 1: every other holder of its keys comes before it
             removed = sorted(points[lo])
-            detail = [0]
+            if gone < len(fixed) and fixed[gone] < removed[0]:
+                below = bisect(fixed, removed[0], gone) - gone
+                steps += _fixed_removals(degree, below, order)
+                degree, gone = degree - below, gone + below
+            detail, skip = [0], lo + gone
             for n in range(1, len(removed)):
                 x = removed[n]
-                n, i = n - 1 + x - lo - marked.count(1, x & -128, x), x >> 7
+                n, i = n - 1 + x - skip - marked.count(1, x & -128, x), x >> 7
                 while i:
                     n -= tree[i]
                     i &= i - 1
@@ -413,27 +440,26 @@ def _chain(coords: _Coordinates, order: int, steps: list[Step]) -> bool:
             steps.append(Step(ORBIT_REMOVAL, degree, order, tuple(detail)))
             degree -= sizes[lo]
             lo += 1
-        if lo == k - 1:
+        if lo == k - 1 and gone == len(fixed):
             break
         zel = _zel_factors(coords, witness, found, lo)
-        sizes, points, rows = coords = _Coordinates(sizes[lo:], points[lo:], rows[lo:])
+        sizes, points, rows, fixed = coords = _Coordinates(sizes[lo:], points[lo:], rows[lo:], fixed[gone:])
         if not _zel_inside(coords, zel, order):
             steps.append(Step(ZEL_NOT_INSIDE, degree, order))
             return False
         blocks = sorted((min(pts[b::f]), i, b)
                         for i, (pts, f) in enumerate(zip(points, zel)) for b in range(f))
-        steps.append(Step(ZEL_REDUCE, degree, order, tuple(sizes[i] // zel[i] for _, i, _ in blocks)))
+        n = len(blocks) + len(fixed)
+        labels, detail, moved = [[0] * f for f in zel], [1] * n, bytearray(n)
+        for label, (x, i, b) in enumerate(blocks):
+            label += bisect(fixed, x)
+            labels[i][b], detail[label], moved[label] = label, sizes[i] // zel[i], zel[i] > 1
+        steps.append(Step(ZEL_REDUCE, degree, order, tuple(detail)))
         order //= math.prod(q // f for q, f in zip(sizes, zel))
-        if order == 1:  # G = zel(G): every block is a fixed point, removed in turn
-            steps.extend(Step(ORBIT_REMOVAL, d, 1, (0,)) for d in range(len(blocks), 1, -1))
-            degree = 1
-            break
-        labels = [[0] * f for f in zel]
-        for label, (_, i, b) in enumerate(blocks):
-            labels[i][b] = label
-        coords = _Coordinates(zel, list(map(tuple, labels)),
-                              [tuple((h, v % f) for h, v in row if v % f) for row, f in zip(rows, zel)])
-        degree = len(blocks)
+        degree, kept = n, [*map((1).__lt__, zel)]
+        coords = _Coordinates([*compress(zel, kept)], [*map(tuple, compress(labels, kept))],
+                              [tuple((h, v % f) for h, v in row if v % f) for row, f in compress(zip(rows, zel), kept)],
+                              [*compress(range(n), map(not_, moved))])
     steps.append(Step(TRANSITIVE_BASE, degree, order))
     return True
 
@@ -452,7 +478,7 @@ def decide_2_closed(group: PermGroup) -> tuple[bool, ReductionTrace]:
     steps: list[Step] = [Step(VALIDATE, group.degree, order)]
     parts = [(coords, order)]
     primes = prime_factors(order)
-    if len(coords.sizes) != 1 and len(primes) != 1:
+    if len(coords.sizes) + len(coords.fixed) != 1 and len(primes) != 1:
         steps.append(Step(SYLOW_SPLIT, group.degree, order, primes))
         parts = ((_sylow_part(coords, p), math.gcd(order, p ** order.bit_length())) for p in primes)
     # closed iff every part is; the first failing part settles it
@@ -474,8 +500,8 @@ def zel(group: PermGroup) -> PermGroup:
     is assumed for it.
     """
     coords = _coordinates(group)
-    if len(coords.sizes) < 2:
-        raise ValueError(f"zel needs at least two orbits, got {len(coords.sizes)}; "
+    if (orbits := len(coords.sizes) + len(coords.fixed)) < 2:
+        raise ValueError(f"zel needs at least two orbits, got {orbits}; "
                          "not defined for transitive groups")
     # the residue classes of an orbit's coordinates mod f_D are the cycles of c^f_D
     gens = [Permutation._unchecked_cycles(group.degree, [*chain.from_iterable(pts[b::f] for b in range(f))],
@@ -501,7 +527,7 @@ def _pairwise_closure(group: PermGroup) -> PermGroup:
     generating set for the base 0..n-1, as an element fixing a point of
     a regular orbit fixes the orbit.  PreconditionFailed outside the class.
     """
-    sizes, points, rows = coords = _coordinates(group)
+    sizes, points, rows, _ = coords = _coordinates(group)
     tops, links = {}, {}  # links[p, E]: (D, the link times the idempotent of p on D)
     for d, (q, row, held) in enumerate(zip(sizes, rows, _holders(coords))):
         for p, pa in _prime_parts(q):

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import re
 from itertools import chain
+from typing import Iterable, Sequence
 
-from .perm import PermGroup, Permutation
+from .perm import PermGroup, Permutation, format_cycles
 
 # The points of a bracket group: each after blanks and at most one comma
 # with blanks after it, then blanks and at most one comma with blanks
@@ -88,8 +89,14 @@ def parse_group(text: str) -> PermGroup:
 
 
 def serialize_group(group: PermGroup) -> str:
-    lines = [f"degree {group.degree}"]
-    lines.extend(f"gen {g}" for g in group.generators)
+    return serialize_cycles(group.degree, map(Permutation.cycles, group.generators))
+
+
+def serialize_cycles(degree: int, generators: Iterable[Iterable[Sequence[int]]]) -> str:
+    """The group file of the generators given by their disjoint cycles, as
+    serialize_group writes it, for a caller that has walked them already."""
+    lines = [f"degree {degree}"]
+    lines.extend(f"gen {format_cycles(cycles)}" for cycles in generators)
     return "\n".join(lines) + "\n"
 
 

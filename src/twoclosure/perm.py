@@ -52,6 +52,11 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def format_cycles(cycles: Iterable[Sequence[int]]) -> str:
+    """Disjoint cycles in cycle notation, as str writes a permutation; () for none."""
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()"
+
+
 class _PermutationFields(NamedTuple):
     images: tuple[int, ...]
 
@@ -170,10 +175,7 @@ class Permutation(_PermutationFields):
         return math.lcm(*map(len, self.cycles()))
 
     def __str__(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+        return format_cycles(self.cycles())
 
     def __repr__(self) -> str:
         return f"Permutation({self.images!r})"

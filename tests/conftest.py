@@ -146,7 +146,8 @@ def reference_zel(group):
 def reference_coordinates(group):
     """decider._coordinates as the library computed it before it walked
     the generators' cycles: the orbits from PermGroup.orbits, then each
-    orbit walked again along its movers, in order of minimal point."""
+    orbit walked again along its movers, in order of minimal point; the
+    fixed points split off last."""
     n, gens = group.degree, [g.images for g in group.generators]
     part = group.orbits()
     first, more = [-1] * len(part.classes), {}
@@ -194,7 +195,19 @@ def reference_coordinates(group):
         sizes.append(q)
         walks.append(tuple(walk))
         rows.append(seen.setdefault(row, row))
-    return _Coordinates(sizes, walks, rows)
+    moved = [q > 1 for q in sizes]
+    fixed = [walk[0] for q, walk in zip(sizes, walks) if q == 1]
+    return _Coordinates(*([*compress(field, moved)] for field in (sizes, walks, rows)), fixed)
+
+
+def with_fixed_orbits(coords):
+    """coords with each fixed point an orbit of size 1, all in order of
+    minimal point, as the decider held them before it kept fixed points
+    apart; and, for each orbit of size > 1, its index there."""
+    orbits = sorted([*zip(map(min, coords.points), coords.sizes, coords.points, coords.rows),
+                     *((x, 1, (x,), ()) for x in coords.fixed)])
+    index = [d for d, orbit in enumerate(orbits) if orbit[1] > 1]
+    return _Coordinates(*([orbit[i] for orbit in orbits] for i in range(1, 4)), []), index
 
 
 def reference_product_walk(cls, gens, sup):

@@ -375,3 +375,23 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+def test_zel_walks_each_generator_once(tmp_path, capsys, monkeypatch):
+    # the '# order' line and the generators' text come from one walk of
+    # each generator's cycles
+    for g in (fixture_example1(5), random_abelian_cyclic(3, 30)):
+        z = zel(g)
+        expected = f"# order {z.order()}\n{serialize_group(z)}"
+        path = write_group(tmp_path, "g.grp", serialize_group(g))
+        walked, cycles = [], Permutation.cycles
+
+        def counted(self):
+            walked.append(self)
+            return cycles(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Permutation, "cycles", counted)
+            code, out, _ = run(capsys, "zel", path)
+        assert (code, out) == (0, expected)
+        assert len(z.generators) > 1 and sorted(walked) == sorted(z.generators), g

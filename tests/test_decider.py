@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from conftest import (
     reference_witness_scan,
     reference_zel_factors,
     stack_depth,
+    with_fixed_orbits,
 )
 from twoclosure import decider
 from twoclosure.decider import (
@@ -42,7 +44,7 @@ from twoclosure.cli import main
 from twoclosure.coloring import orb2, preserves
 from twoclosure.groupfile import serialize_group
 from twoclosure.oracle import closure_order, is_2_closed_oracle
-from twoclosure.perm import DEFAULT_CAP, PermGroup, Permutation, prime_factors
+from twoclosure.perm import DEFAULT_CAP, CapExceeded, PermGroup, Permutation, prime_factors
 
 
 def cyc(degree, *cycles):
@@ -257,6 +259,71 @@ def test_trace_matches_reference_on_arbitrary_groups(g):
     assert_matches_reference(g)
 
 
+def test_fixed_point_below_a_part_goes_first_in_its_run():
+    # Z6 on 1..6: 0 is fixed in both parts and goes before their cosets
+    g = PermGroup(7, [cyc(7, (1, 2, 3, 4, 5, 6))])
+    steps = (Step(VALIDATE, 7, 6), Step(SYLOW_SPLIT, 7, 6, (2, 3)),
+             Step(ORBIT_REMOVAL, 7, 2, (0,)), Step(ORBIT_REMOVAL, 6, 2, (0, 3)),
+             Step(ORBIT_REMOVAL, 4, 2, (0, 2)), Step(TRANSITIVE_BASE, 2, 2),
+             Step(ORBIT_REMOVAL, 7, 3, (0,)), Step(ORBIT_REMOVAL, 6, 3, (0, 2, 4)), Step(TRANSITIVE_BASE, 3, 3))
+    assert decide_2_closed(g) == (True, ReductionTrace(steps, True))
+    assert_matches_reference(g)
+
+
+def test_fixed_point_above_a_part_is_a_block_at_zel_reduce():
+    # Z6 on 0..5: 6 is fixed and left when each part's last orbit is
+    g = PermGroup(7, [cyc(7, (0, 1, 2, 3, 4, 5))])
+    steps = (Step(VALIDATE, 7, 6), Step(SYLOW_SPLIT, 7, 6, (2, 3)),
+             Step(ORBIT_REMOVAL, 7, 2, (0, 3)), Step(ORBIT_REMOVAL, 5, 2, (0, 2)),
+             Step(ZEL_REDUCE, 3, 2, (2, 1)), Step(ORBIT_REMOVAL, 2, 1, (0,)), Step(TRANSITIVE_BASE, 1, 1),
+             Step(ORBIT_REMOVAL, 7, 3, (0, 2, 4)),
+             Step(ZEL_REDUCE, 4, 3, (3, 1)), Step(ORBIT_REMOVAL, 2, 1, (0,)), Step(TRANSITIVE_BASE, 1, 1))
+    assert decide_2_closed(g) == (True, ReductionTrace(steps, True))
+    assert_matches_reference(g)
+
+
+def test_a_fixed_point_counts_as_an_orbit():
+    # Z3 and a fixed point: two orbits, so decide reduces and zel is defined
+    g = PermGroup(4, [cyc(4, (0, 1, 2))])
+    steps = (Step(VALIDATE, 4, 3), Step(ZEL_REDUCE, 4, 3, (3, 1)),
+             Step(ORBIT_REMOVAL, 2, 1, (0,)), Step(TRANSITIVE_BASE, 1, 1))
+    assert decide_2_closed(g) == (True, ReductionTrace(steps, True))
+    assert_matches_reference(g)
+    assert zel(g).generators == (cyc(4, (0, 1, 2)),)
+
+
+def _with_fixed_points(group, fixed, prime, coupled, seed):
+    """The group on fixed more points and a prime-cycle block, moved by its
+    own generator or also by the first one (coupled), points relabelled."""
+    n = group.degree + fixed + prime
+    sigma = list(range(n))
+    random.Random(seed).shuffle(sigma)
+    block, gens = cyc(n, tuple(sigma[n - prime:])), []
+    for x in group.generators:
+        images = list(range(n))
+        for i, v in enumerate(x.images):
+            images[sigma[i]] = sigma[v]
+        gens.append(Permutation(tuple(images)))
+    if coupled and gens:
+        gens[0] = gens[0] * block
+    return PermGroup(n, gens + [block])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 10**4), st.sampled_from([random_abelian_cyclic, random_coupled_blocks]),
+       st.integers(1, 4), st.booleans())
+def test_trace_matches_reference_with_fixed_points_and_mixed_primes(seed, family, fixed, coupled):
+    group = family(seed, 16)
+    order = decide_2_closed(group)[1].steps[0].order
+    prime = next(p for p in (2, 3, 5, 7, 11) if order % p)  # a prime new to the group
+    g = _with_fixed_points(group, fixed, prime, coupled, seed)
+    try:
+        want = _outcome(reference_decide, g)
+    except CapExceeded:
+        return
+    assert _outcome(decide_2_closed, g) == want, g
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     abelian_instances(max_degree=14)
@@ -429,10 +496,13 @@ def test_sylow_part_coordinates_follow_the_points(g):
                 m //= p
             images = (x ** (m * pow(m, -1, x.order() // m))).images
             part = decider._sylow_part(orbits, p)
-            for q, points, row in zip(*part):
+            for q, points, row in zip(part.sizes, part.points, part.rows):
                 assert all(0 < v < q for _, v in row)
                 v = dict(row).get(i, 0)  # a generator the row leaves out fixes the orbit
                 assert tuple(images[y] for y in points) == points[v:] + points[:v]
+            assert all(images[y] == y for y in part.fixed)
+            assert part.fixed == sorted(part.fixed)
+            assert sorted([*part.fixed, *(y for points in part.points for y in points)]) == list(range(g.degree))
 
 
 def _indep(sizes):
@@ -538,27 +608,37 @@ def _scanned_parts(group):
 
 def assert_zel_factors_match_reference(group):
     """The hashed scan against the pairwise one, on the whole group and
-    on every Sylow part: f_D at every cut-off lo, and on the parts the
-    last witnesses."""
+    on every Sylow part, with each fixed point an orbit of size 1 for the
+    reference: f_D at every cut-off lo, a fixed point's always 1, and on
+    the parts the last witnesses, a fixed point's never stopping a run."""
     parts = _scanned_parts(group)
     for part in parts:
-        got, want = decider._witness_scan(part), reference_witness_scan(part)
-        for lo in range(len(part.sizes)):
-            assert decider._zel_factors(part, *got, lo) == reference_zel_factors(part, *want, lo), (group, lo)
+        merged, index = with_fixed_orbits(part)
+        k, got, want = len(merged.sizes), decider._witness_scan(part), reference_witness_scan(merged)
+        for lo in range(k):
+            factors = reference_zel_factors(merged, *want, lo)
+            assert all(factors[d - lo] == 1 for d in range(lo, k) if merged.sizes[d] == 1), (group, lo)
+            got_factors = decider._zel_factors(part, *got, bisect_left(index, lo))
+            assert got_factors == [factors[d - lo] for d in index if d >= lo], (group, lo)
         if part is not parts[0]:
-            assert got[0] == want[0], group
+            assert [index[w] if w >= 0 else -1 for w in got[0]] == [want[0][d] for d in index], group
+            # a run is at some lo <= k - 2 and goes on while every witness from lo on is >= lo
+            assert all(want[0][d] >= min(d, k - 2) for d in range(k) if merged.sizes[d] == 1), group
 
 
 def zel_inside_cases(group):
     """_zel_inside against the echelon test, whether adding the vectors
     f_D e_D keeps |G|, for the group left at every cut-off lo of every
-    part assert_zel_factors_match_reference walks.  Returns the set of
-    (the sign of |zel(G)| - |G|, the answer) seen."""
+    part assert_zel_factors_match_reference walks, fixed points included
+    in the cut-offs.  Returns the set of (the sign of |zel(G)| - |G|, the
+    answer) seen."""
     cases = set()
     for part in _scanned_parts(group):
-        scan = decider._witness_scan(part)
-        for lo in range(len(part.sizes)):
-            zel, rest = decider._zel_factors(part, *scan, lo), decider._Coordinates(*(c[lo:] for c in part))
+        scan, (merged, index) = decider._witness_scan(part), with_fixed_orbits(part)
+        for lo in range(len(merged.sizes)):
+            left = bisect_left(index, lo)  # lo - left fixed points lie below the cut-off
+            zel = decider._zel_factors(part, *scan, left)
+            rest = decider._Coordinates(*(c[left:] for c in part[:3]), part.fixed[lo - left:])
             order = decider._order(rest)
             inside = decider._order(rest, tuple({i: f} for i, f in enumerate(zel) if f < rest.sizes[i])) == order
             assert decider._zel_inside(rest, zel, order) == inside, (group, lo)

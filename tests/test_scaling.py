@@ -32,11 +32,17 @@ linked, where generator i moves blocks i and i + 1).  An orbit of
 prime-power size is walked along its first full cycle; only one of
 composite size has its generator c composed from the cycles, once.
 
+A Sylow part keeps its fixed points apart from its orbits: _sylow_part
+passes the orbits its prime does not divide over in C, and _chain
+removes the fixed points in batches whose steps are built in C, so a
+fixed point costs its step and no Python line of its own.
+
 A permutation's cycle queries (cycles, order, **, is_identity, str) walk
 only its moved points, so building, printing and powering a group of
 sparse generators runs as many perm.py lines at any degree.
 """
 
+import math
 import os
 import random
 import sys
@@ -137,7 +143,12 @@ def _mixed(k, seed=0):
     """k blocks of 2 and 3 points alternately under relabelled points,
     each shifted by its own generator, so that decide splits the group
     into a Sylow 2-part and 3-part, each with fixed points."""
-    sizes = [(2, 3)[b % 2] for b in range(k)]
+    return _shifted([(2, 3)[b % 2] for b in range(k)], seed)
+
+
+def _shifted(sizes, seed=0):
+    """Blocks of the given sizes under relabelled points, each shifted by
+    its own generator."""
     n, start, gens = sum(sizes), 0, []
     sigma = list(range(n))
     random.Random(seed).shuffle(sigma)
@@ -227,6 +238,46 @@ def test_diag_z2_scales_about_linearly():
 def test_mixed_blocks_scale_about_linearly():
     ratio = _chain_lines(_mixed(800)) / _chain_lines(_mixed(400))
     assert ratio < BOUND, ratio
+
+
+def _fixed_point_lines(twos, k):
+    """The lines _sylow_part and _chain run, in their own code objects, to
+    reach the Sylow 2-part of blocks of 2, all swapped by one generator,
+    and k blocks of 3, each shifted by its own, and to decide it; and the
+    steps that chain appends."""
+    gens = _shifted([2] * twos + [3] * k).generators
+    group = PermGroup(3 * k + 2 * twos, [math.prod(gens[:twos], start=Permutation.identity(3 * k + 2 * twos)),
+                                         *gens[twos:]])
+    coords, steps = decider._coordinates(group), []
+    counted = {decider._sylow_part.__code__, decider._chain.__code__}
+    lines = _lines(counted.__contains__, lambda: decider._chain(decider._sylow_part(coords, 2), 2, steps))
+    return lines, len(steps)
+
+
+def test_a_fixed_point_costs_only_its_step():
+    # the 2-part fixes 3k points: each is one removal step built in C,
+    # with no Python line of its own, so the lines stay about flat; one
+    # block of 2 is the whole part, two make a run and a ZelReduce
+    for twos in (1, 2):
+        (small, small_steps), (big, big_steps) = _fixed_point_lines(twos, 100), _fixed_point_lines(twos, 200)
+        assert (small_steps, big_steps) == (301 + twos, 601 + twos), twos
+        assert big < 1.2 * small, (twos, small, big)
+
+
+def test_product_test_reads_the_order_bit_length_first(monkeypatch):
+    # |G| = 2 on diag Z2, and prod |D| >= 2^k: the product of the k sizes,
+    # quadratic in k as a big integer, is never formed
+    longest, prod = 0, math.prod
+
+    def counted(factors, *args, **kwargs):
+        nonlocal longest
+        factors = list(factors)
+        longest = max(longest, len(factors))
+        return prod(factors, *args, **kwargs)
+
+    monkeypatch.setattr(math, "prod", counted)
+    assert decide_2_closed(_blocks(20_000, "diag"))[0]
+    assert longest == 1, longest
 
 
 def test_indep_z2_scales_about_linearly():
