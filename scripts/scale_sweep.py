@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time parse, decide, zel and the 2-closure on eight families at doubling degrees.
+"""Time parse, decide, zel, the 2-closure and the orbits on eight families at doubling degrees.
 
     python scripts/scale_sweep.py --max-degree 100000
 
@@ -24,14 +24,16 @@ a seeded shuffle, as a file from elsewhere would be:
   example1 fixture_example1(p) for the least prime p with 3p >= degree
 
 Every size runs in a fresh interpreter, so the max RSS column is that of
-one parse, one decide, one zel and one closure (text generation
-included).  zel_s times what `twoclosure zel` does after parsing: zel,
-one walk of each generator's cycles, the product of their orders for
-the '# order' line, and the group file written from those cycles.
-closure_s times two_closure with the degree cap at the degree, which
-every family here passes in the class, with no search, and
-closure_order.  indep, linked, private, mixed and primes stop at
-INDEP_MAX_DEGREE, because their generators store about k * 2k images.
+one parse, one decide, one zel, one closure and one orbits (text
+generation included).  zel_s times what `twoclosure zel` does after
+parsing: zel, one walk of each generator's cycles, the product of their
+orders for the '# order' line, and the group file written from those
+cycles.  closure_s times two_closure with the degree cap at the degree,
+which every family here passes in the class, with no search, and
+closure_order.  orbits_s times what `twoclosure orbits` does after
+parsing: the orbits, and one line of text per orbit.  indep, linked,
+private, mixed and primes stop at INDEP_MAX_DEGREE, because their
+generators store about k * 2k images.
 The last column is the decide time over that of the previous size:
 about 2 for a cost linear in the degree, about 4 for a quadratic one.
 """
@@ -115,12 +117,15 @@ def run_one(family: str, degree: int) -> dict:
     t3 = time.perf_counter()
     closure_order(two_closure(group, SearchLimits(max_degree=group.degree)))
     t4 = time.perf_counter()
+    "\n".join(" ".join(map(str, cls)) for cls in group.orbits().classes)
+    t5 = time.perf_counter()
     return {
         "degree": group.degree,
         "parse_s": t1 - t0,
         "decide_s": t2 - t1,
         "zel_s": t3 - t2,
         "closure_s": t4 - t3,
+        "orbits_s": t5 - t4,
         "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "closed": closed,
         "steps": len(trace.steps),
@@ -138,7 +143,7 @@ def main(argv=None) -> int:
         return 0
     src = str(Path(__file__).resolve().parent.parent / "src")
     print(f"{'family':<9} {'degree':>8} {'parse_s':>9} {'decide_s':>9} {'zel_s':>9} {'closure_s':>9} "
-          f"{'max_rss_mb':>10} {'ratio':>6}")
+          f"{'orbits_s':>9} {'max_rss_mb':>10} {'ratio':>6}")
     for family in args.families:
         cap = min(args.max_degree, INDEP_MAX_DEGREE) if family in CAPPED else args.max_degree
         degree, previous = MIN_DEGREE, None
@@ -150,7 +155,7 @@ def main(argv=None) -> int:
             row = json.loads(out)
             ratio = f"{row['decide_s'] / previous:6.2f}" if previous else f"{'':>6}"
             print(f"{family:<9} {row['degree']:>8} {row['parse_s']:>9.4f} {row['decide_s']:>9.4f} {row['zel_s']:>9.4f} "
-                  f"{row['closure_s']:>9.4f} {row['max_rss_mb']:>10.1f} {ratio}", flush=True)
+                  f"{row['closure_s']:>9.4f} {row['orbits_s']:>9.4f} {row['max_rss_mb']:>10.1f} {ratio}", flush=True)
             previous, degree = row["decide_s"], 2 * degree
     return 0
 

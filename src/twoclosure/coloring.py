@@ -9,11 +9,10 @@ so two colorings describe the same partition iff their matrices are equal.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import ne
+from itertools import chain, repeat
 from typing import NamedTuple
 
-from .perm import Permutation, PermGroup
+from .perm import Permutation, PermGroup, _cycle_orbits
 
 # The most points orb2 colors: its matrix holds degree^2 cells, 4.2 million
 # at this bound, so a group file's own limit of 10^6 points would ask for
@@ -64,27 +63,26 @@ def orb2(group: PermGroup) -> PairColoring:
         raise ColoringTooLarge(
             f"degree {n} exceeds the pair coloring bound {MAX_COLORING_DEGREE}"
         )
-    part = group.orbits()
-    orbit_of, gens = part.point_to_class, [g.images for g in group.generators]
-    moving = [[] for _ in part.classes]  # moving[d]: the generators moving orbit d
-    for images in gens:
-        for d in set(map(orbit_of.__getitem__, compress(range(n), map(ne, images, range(n))))):
-            moving[d].append(images)
+    cycles, movers, orbits, _ = _cycle_orbits(group)
+    moving = [[]] * n  # the generators moving the orbit of x, one list per orbit; the fixed points share []
+    for ids in orbits:
+        ids = [ids] if type(ids) is int else ids
+        spread = [group.generators[h].images for h in dict.fromkeys(map(movers.__getitem__, ids))]
+        any(map(moving.__setitem__, chain(*map(cycles.__getitem__, ids)), repeat(spread)))
     matrix = [[-1] * n for _ in range(n)]
     next_color = 0
     for i, row in enumerate(matrix):
-        mine, spreads = moving[orbit_of[i]], {}  # spreads: by the orbit of j, once per row
+        mine, spreads = moving[i], {}  # spreads: by the id of the list of j, once per row
         for j in range(n):
             if row[j] != -1:
                 continue
             row[j] = color = next_color
             next_color += 1
-            spread = moving[orbit_of[j]]
+            spread = moving[j]
             if mine and spread is not mine:
-                e = orbit_of[j]
-                if e not in spreads:
-                    spreads[e] = mine + [g for g in spread if g not in mine]
-                spread = spreads[e]
+                if id(spread) not in spreads:
+                    spreads[id(spread)] = mine + [g for g in spread if g not in mine]
+                spread = spreads[id(spread)]
             if not spread:  # both orbits fixed pointwise: the pair is its own orbit
                 continue
             stack = [(i, j)]

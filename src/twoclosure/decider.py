@@ -44,11 +44,11 @@ the group they describe) and the rows, each orbit's nonzero shifts as
 ascending (generator, shift) pairs, equal rows sharing one tuple; and
 apart, as fixed, the fixed points in ascending order, which have no
 coordinate, so that a Sylow part costs no Python work per point it
-fixes beyond the step removing it.  They cost O(n) in C plus O(sum of
-|supp g|) in Python, as each generator's cycles are walked once.  The
-witness scan (the chain's and zel()'s) and the closure read one index
-from keys to the orbits holding them (_holders): one _keys per distinct
-(size, row), then O(log |D|) steps per orbit.
+fixes beyond the step removing it.  They are read off perm._cycle_orbits,
+in O(n) in C plus O(sum of |supp g|) in Python.  The witness scan (the
+chain's and zel()'s) and the closure read one index from keys to the
+orbits holding them (_holders): one _keys per distinct (size, row), then
+O(log |D|) steps per orbit.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ from __future__ import annotations
 import math
 from bisect import bisect
 from functools import lru_cache
-from itertools import accumulate, chain, compress, repeat
-from operator import ne, not_
+from itertools import accumulate, chain, compress, groupby, repeat
+from operator import not_
 from typing import Iterable, NamedTuple
 
-from .perm import PermGroup, Permutation, prime_factors
+from .perm import PermGroup, Permutation, _cycle_orbits, prime_factors
 
 VALIDATE = "Validate"
 TRANSITIVE_BASE = "TransitiveBase"
@@ -140,80 +140,48 @@ def _prime_parts(q: int) -> tuple[tuple[int, int], ...]:
 def _coordinates(group: PermGroup) -> _Coordinates:
     """The orbits in coordinates, in order of minimal point.
 
-    Each generator's cycles are walked once, from their minimal points,
-    over the points it moves; a union-find joins cycles that share a point.
-    Every orbit is walked along its constituent generator c: the product,
-    over the primes p dividing its size q, of the p-part of the first
-    generator whose cycle through the minimal point carries the full
-    p-part p^a of q.  So if q is a prime power, the walk is the first
-    q-cycle on the orbit; else _product_walk composes c from the cycles.
-    The orbit is cyclic exactly when every generator moving it shifts
-    that walk, and the first orbit, by minimal point, that is not raises
-    PreconditionFailed.
+    Every orbit of _cycle_orbits is walked along its constituent
+    generator c: the product, over the primes p dividing its size q, of
+    the p-part of the first generator whose cycle through the minimal
+    point carries the full p-part p^a of q.  So if q is a prime power,
+    the walk is the first q-cycle on the orbit; else _product_walk
+    composes c from the cycles.  The orbit is cyclic exactly when every
+    generator moving it shifts that walk, and the first orbit, by
+    minimal point, that is not raises PreconditionFailed.
     """
-    n, gens = group.degree, [g.images for g in group.generators]
-    # owner[x]: the last cycle walked through x, or -1; parent leads a joined
-    # cycle to the newest cycle of its orbit (a union-find, path halving)
-    owner, cycles, movers, parent, joined = [-1] * n, [], [], [], set()
-    for h, images in enumerate(gens):
-        first = len(cycles)
-        for i in compress(range(n), map(ne, images, range(n))):
-            if owner[i] < first:  # i is the minimal point of a cycle of h not walked yet
-                c, walk, j = len(cycles), [i], images[i]
-                while j != i:
-                    walk.append(j)
-                    j = images[j]
-                parent.append(c)
-                for t in {*map(owner.__getitem__, walk)} - {-1} if first else ():
-                    joined.update((t, c))
-                    while parent[t] != t:
-                        parent[t] = t = parent[parent[t]]
-                    parent[t] = c
-                for j in walk:
-                    owner[j] = c
-                cycles.append(tuple(walk))
-        movers.extend(repeat(h, len(cycles) - first))
-    orbits = {}  # root -> the joined cycles of its orbit, descending
-    for c in sorted(joined, reverse=True):  # a parent is newer, so its parent is a root
-        parent[c] = parent[parent[c]]
-        orbits.setdefault(parent[c], []).append(c)
-    # walks[x], rows[x]: the walk and row of the orbit whose minimal point is x
-    walks, rows, seen = [None] * n, [()] * n, {}
-    for c, walk in enumerate(cycles):
-        if c not in joined:  # c's walk if q is a prime power, else composed below
-            if len(_prime_parts(len(walk))) > 1:
-                orbits[c] = [c]
-            else:
-                row = (movers[c], 1),
-                walks[walk[0]], rows[walk[0]] = walk, seen.setdefault(row, row)
-    for base, ids in sorted((min(map(cycles.__getitem__, ids))[0], ids[::-1]) for ids in orbits.values()):
-        points = {*chain.from_iterable(map(cycles.__getitem__, ids))}
-        q, shifts = len(points), dict.fromkeys(map(movers.__getitem__, ids))
-        if len(_prime_parts(q)) > 1:
-            walk = _product_walk(base, points, [(movers[c], cycles[c]) for c in ids])
-        else:  # c is the first mover that is a q-cycle; with none, no walk covers the orbit
-            walk = next((cycles[c] for c in ids if len(cycles[c]) == q), (base,))
-        for h in shifts:
-            images = gens[h]
-            v = shifts[h] = walk.index(images[base]) if len(walk) == q else 0
-            if not v or tuple(map(images.__getitem__, walk)) != walk[v:] + walk[:v]:
-                raise PreconditionFailed(f"the constituent on the orbit of {base} is not cyclic")
-        row = tuple(shifts.items())
-        walks[base], rows[base] = walk, seen.setdefault(row, row)
-    rows, walks = [*compress(rows, walks)], [*filter(None, walks)]
-    return _Coordinates([*map(len, walks)], walks, rows, [*compress(range(n), map((-1).__eq__, owner))])
+    cycles, movers, orbits, fixed = _cycle_orbits(group)
+    walks, rows, seen = [], [], {}
+    for ids in orbits:
+        if type(ids) is int and len(_prime_parts(len(cycles[ids]))) == 1:  # a lone cycle of prime-power size is c
+            walk, row = cycles[ids], ((movers[ids], 1),)
+        else:
+            ids = [ids] if type(ids) is int else ids
+            points = {*chain.from_iterable(map(cycles.__getitem__, ids))}
+            q, base, shifts = len(points), min(points), dict.fromkeys(map(movers.__getitem__, ids))
+            if len(_prime_parts(q)) > 1:  # each mover's cycles on the orbit, by mover
+                own = [[*map(cycles.__getitem__, cs)] for _, cs in groupby(ids, movers.__getitem__)]
+                walk = _product_walk(base, points, own)
+            else:  # c is the first mover that is a q-cycle; with none, no walk covers the orbit
+                walk = next((cycles[c] for c in ids if len(cycles[c]) == q), (base,))
+            for h in shifts:
+                images = group.generators[h].images
+                v = shifts[h] = walk.index(images[base]) if len(walk) == q else 0
+                if not v or tuple(map(images.__getitem__, walk)) != walk[v:] + walk[:v]:
+                    raise PreconditionFailed(f"the constituent on the orbit of {base} is not cyclic")
+            row = tuple(shifts.items())
+        walks.append(walk)
+        rows.append(seen.setdefault(row, row))
+    return _Coordinates([*map(len, walks)], walks, rows, fixed)
 
 
-def _product_walk(base: int, points: set[int], cycles: list[tuple[int, tuple[int, ...]]]) -> tuple[int, ...]:
-    """The walk from base of c on an orbit of composite size, from the
-    (mover, cycle) pairs on it, ascending: per prime p, c takes h^(L/p^a)
+def _product_walk(base: int, points: set[int], movers: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
+    """The walk from base of c on an orbit of composite size, from each
+    mover's cycles on it, by mover: per prime p, c takes h^(L/p^a)
     for the first mover h whose first cycle, through base if h moves it,
     has a length L that the p-part p^a divides."""
-    q, by_mover, c = len(points), {}, {x: x for x in points}
-    for h, cycle in cycles:
-        by_mover.setdefault(h, []).append(cycle)
+    q, c = len(points), {x: x for x in points}
     for p, pa in _prime_parts(q):
-        for own in by_mover.values():
+        for own in movers:
             if own[0][0] == base and len(own[0]) % pa == 0:
                 e, power = len(own[0]) // pa, {}
                 for cycle in own:  # all of length L, or the orbit fails the check after

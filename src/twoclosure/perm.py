@@ -1,17 +1,17 @@
 """Permutations and finitely generated permutation groups.
 
-Group-level queries (order, stabilizers, subgroup tests,
-constituent checks) work by exact enumeration, filtering the full element
-set instead of using stabilizer chains.  The decider does not call them:
-it works on cyclic coordinates.  The enumeration serves the brute-force
-oracle and the tests' reference procedures, and the element cap
-(DEFAULT_CAP) keeps runaway inputs from eating the machine.
+Orbits are read off the generators' cycles (_cycle_orbits, shared with the
+decider and the pair coloring).  The other group-level queries (order,
+stabilizers, subgroup tests, constituent checks) enumerate the elements,
+filtering them instead of using stabilizer chains, for the brute-force
+oracle and the tests' references; the decider calls none of them.  The
+element cap (DEFAULT_CAP) keeps runaway inputs from eating the machine.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, filterfalse, repeat
 from operator import ne
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -207,6 +207,50 @@ class OrbitPartition(_PartitionFields):
         return tuple(len(c) for c in self.classes)
 
 
+def _cycle_orbits(group: PermGroup) -> tuple[list[tuple[int, ...]], list[int], list, list[int]]:
+    """The generators' cycles and the orbits they join into: each generator's
+    cycles are walked once, from their minimal points, over the points it
+    moves, and a union-find joins the cycles that share a point, in O(n) in
+    C plus O(sum of |supp g|) in Python.  Returns the cycles, the generator
+    of each, the orbits of size > 1 by minimal point, each the id of its
+    cycle if it is one (so a lone cycle costs no list) or its cycles' ids
+    ascending, and the fixed points."""
+    n, gens = group.degree, [g.images for g in group.generators]
+    # owner[x]: the last cycle walked through x, or -1; parent leads a joined
+    # cycle to the newest cycle of its orbit (a union-find, path halving)
+    owner, cycles, movers, parent, joined = [-1] * n, [], [], [], set()
+    for h, images in enumerate(gens):
+        first = len(cycles)
+        for i in compress(range(n), map(ne, images, range(n))):
+            if owner[i] < first:  # i is the minimal point of a cycle of h not walked yet
+                c, walk, j = len(cycles), [i], images[i]
+                while j != i:
+                    walk.append(j)
+                    j = images[j]
+                parent.append(c)
+                for t in {*map(owner.__getitem__, walk)} - {-1} if first else ():
+                    joined.update((t, c))
+                    while parent[t] != t:
+                        parent[t] = t = parent[parent[t]]
+                    parent[t] = c
+                for j in walk:
+                    owner[j] = c
+                cycles.append(tuple(walk))
+        movers.extend(repeat(h, len(cycles) - first))
+    orbits = range(len(cycles))  # one generator's cycles come by minimal point and join none
+    if len(gens) > 1:
+        roots = {}  # root -> the joined cycles of its orbit, descending
+        for c in sorted(joined, reverse=True):  # a parent is newer, so its parent is a root
+            parent[c] = parent[parent[c]]
+            roots.setdefault(parent[c], []).append(c)
+        heads = {}  # a joined orbit's cycles, ascending, by its head, its cycle through its minimal point
+        for ids in roots.values():
+            heads[min(ids, key=cycles.__getitem__)] = ids[::-1]
+        orbits = sorted([*filterfalse(joined.__contains__, orbits), *heads], key=cycles.__getitem__)
+        orbits = map(heads.get, orbits, orbits) if heads else orbits
+    return cycles, movers, [*orbits], [*compress(range(n), map((-1).__eq__, owner))]
+
+
 class PermGroup:
     """A permutation group of fixed degree, given by generators.
 
@@ -307,24 +351,16 @@ class PermGroup:
         return not self.generators
 
     def orbits(self) -> OrbitPartition:
-        """The orbit partition of the point set, classes ordered by minimal point."""
-        n, gens = self.degree, [g.images for g in self.generators]
-        assigned = [-1] * n
-        classes = []
-        for start in range(n):
-            if assigned[start] != -1:
-                continue
-            idx = len(classes)
-            assigned[start] = idx
-            orbit = [start]
-            for x in orbit:  # breadth first: the loop walks the points it appends
-                for images in gens:
-                    y = images[x]
-                    if assigned[y] == -1:
-                        assigned[y] = idx
-                        orbit.append(y)
-            classes.append(tuple(sorted(orbit)))
-        return OrbitPartition(tuple(classes), tuple(assigned))
+        """The orbit partition of the point set, classes ordered by minimal point:
+        _cycle_orbits' orbits and fixed points, two ascending runs one sort merges."""
+        cycles, _, orbits, fixed = _cycle_orbits(self)
+        classes = sorted([*(tuple(sorted(cycles[ids] if type(ids) is int else {*chain(*map(cycles.__getitem__, ids))}))
+                            for ids in orbits), *zip(fixed)])
+        point_to_class = [0] * self.degree
+        for d, cls in enumerate(classes):
+            for x in cls:
+                point_to_class[x] = d
+        return OrbitPartition(tuple(classes), tuple(point_to_class))
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1

@@ -57,5 +57,4 @@ def remove_orbit(group: PermGroup, orbit) -> PermGroup:
     cls = tuple(sorted(orbit))
     if cls not in group.orbits().classes:
         raise NotAnOrbit(f"{cls} is not an orbit of the group")
-    keep = [p for p in range(group.degree) if p not in set(cls)]
-    return group.restriction(keep)
+    return group.restriction(set(range(group.degree)).difference(cls))

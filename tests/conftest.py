@@ -143,15 +143,41 @@ def reference_zel(group):
     return PermGroup(group.degree, gens)
 
 
+def reference_orbits(group):
+    """The orbit partition, (classes, point_to_class) as PermGroup.orbits
+    gives it, from a union-find over every point's image under every
+    generator, which shares no code with the library's cycle walk."""
+    parent = list(range(group.degree))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in group.generators:
+        for i, v in enumerate(g.images):
+            parent[find(i)] = find(v)
+    members = {}
+    for i in range(group.degree):
+        members.setdefault(find(i), []).append(i)
+    classes = tuple(sorted(tuple(c) for c in members.values()))
+    point_to_class = [0] * group.degree
+    for d, cls in enumerate(classes):
+        for x in cls:
+            point_to_class[x] = d
+    return classes, tuple(point_to_class)
+
+
 def reference_coordinates(group):
     """decider._coordinates as the library computed it before it walked
-    the generators' cycles: the orbits from PermGroup.orbits, then each
+    the generators' cycles: the orbits from reference_orbits, then each
     orbit walked again along its movers, in order of minimal point; the
     fixed points split off last."""
     n, gens = group.degree, [g.images for g in group.generators]
-    part = group.orbits()
-    first, more = [-1] * len(part.classes), {}
-    orbit_of = part.point_to_class.__getitem__
+    classes, point_to_class = reference_orbits(group)
+    first, more = [-1] * len(classes), {}
+    orbit_of = point_to_class.__getitem__
     for h, images in enumerate(gens):
         for d in set(map(orbit_of, compress(range(n), map(ne, images, range(n))))):
             if first[d] < 0:
@@ -159,7 +185,7 @@ def reference_coordinates(group):
             else:
                 more.setdefault(d, [first[d]]).append(h)
     sizes, walks, rows, seen = [], [], [], {}
-    for d, cls in enumerate(part.classes):
+    for d, cls in enumerate(classes):
         q, base = len(cls), cls[0]
         sup = more.get(d) or ([first[d]] if first[d] >= 0 else [])
         shifts = dict.fromkeys(sup, 0)

@@ -6,14 +6,17 @@ from hypothesis import strategies as st
 
 from conftest import (
     abelian_instances,
+    blocks_of_six,
     perm_groups,
     permutations,
+    random_coupled_blocks,
     reference_cycles,
     reference_inverse,
+    reference_orbits,
     reference_power,
 )
 from twoclosure import perm
-from twoclosure.fixtures import fixture_example1
+from twoclosure.fixtures import fixture_example1, random_regular_abelian
 from twoclosure.perm import (
     CapExceeded,
     NotBlockSystem,
@@ -263,27 +266,21 @@ def test_elements_closed_under_composition_and_inverse(g):
     assert all(x * y in els for x in els for y in els)
 
 
-def _union_find_orbits(group):
-    parent = list(range(group.degree))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in group.generators:
-        for i, v in enumerate(g.images):
-            parent[find(i)] = find(v)
-    classes = {}
-    for i in range(group.degree):
-        classes.setdefault(find(i), []).append(i)
-    return sorted(tuple(c) for c in classes.values())
-
-
-@given(perm_groups(max_degree=6, max_gens=3))
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(perm_groups(max_degree=6, max_gens=3), abelian_instances(24)))
 def test_orbits_match_independent_union_find(g):
-    assert sorted(g.orbits().classes) == _union_find_orbits(g)
+    assert g.orbits() == reference_orbits(g)
+
+
+def test_orbits_match_independent_union_find_on_the_wider_families():
+    # orbits joined from several generators' cycles, and orbits of
+    # composite size that no one generator walks; abelian_instances,
+    # above, gives the fixed points
+    groups = [random_coupled_blocks(seed, 36) for seed in range(300)]
+    groups += [blocks_of_six(50, shifts) for shifts in ((1,), (1, 3), (3, 2))]
+    groups += [random_regular_abelian(seed, 60) for seed in range(100)]
+    for g in groups:
+        assert g.orbits() == reference_orbits(g), g
 
 
 @settings(deadline=None, max_examples=40)

@@ -24,11 +24,12 @@ zel(G) <= G is read off |zel(G)| and |G| before any echelon, so decide
 runs `_order`, whose elimination can fill in, only once, for Validate's
 |G|, where zel(G) = G or |zel(G)| > |G|.
 
-The coordinates every decide, zel and in-class closure starts from are
-built from each generator's cycles, over the points it moves, so the
-lines that pass runs grow with the degree and the generators' supports,
-not with the degree times the number of generators (indep k x Z2, and
-linked, where generator i moves blocks i and i + 1).  An orbit of
+The coordinates every decide, zel and in-class closure starts from, and
+the orbits of PermGroup.orbits, are built from each generator's cycles,
+over the points it moves, so the lines those passes run grow with the
+degree and the generators' supports, not with the degree times the
+number of generators (indep k x Z2, and linked, where generator i moves
+blocks i and i + 1).  An orbit of
 prime-power size is walked along its first full cycle; only one of
 composite size has its generator c composed from the cycles, once.
 
@@ -116,11 +117,16 @@ def _closure_lines(group):
     return _lines(counted.__contains__, lambda: decider._pairwise_closure(group))
 
 
+def _package_lines(run):
+    """The number of src lines run() runs."""
+    package = os.path.dirname(decider.__file__)
+    return _lines(lambda code: code.co_filename.startswith(package), run)
+
+
 def _coordinate_lines(group):
     """The number of lines the coordinate pass, and the src helpers it
     calls, run on the group."""
-    package = os.path.dirname(decider.__file__)
-    return _lines(lambda code: code.co_filename.startswith(package), lambda: decider._coordinates(group))
+    return _package_lines(lambda: decider._coordinates(group))
 
 
 def _sparse_perm_lines(n):
@@ -294,6 +300,15 @@ def test_coordinates_scale_about_linearly():
     # blocks of 6 moved by a Z2 and a Z3 generator: c is composed per orbit
     ratio = _coordinate_lines(blocks_of_six(400, (3, 2))) / _coordinate_lines(blocks_of_six(200, (3, 2)))
     assert ratio < BOUND, ratio
+
+
+def test_orbits_scale_about_linearly():
+    # the orbits are joined from the generators' cycles, one Python step
+    # per moved point; a search that visits every generator at every point
+    # costs about k steps per point, so about 4 times as many at 2k
+    for generators in ("indep", "linked"):
+        ratio = _package_lines(_blocks(400, generators).orbits) / _package_lines(_blocks(200, generators).orbits)
+        assert ratio < BOUND, (generators, ratio)
 
 
 def test_only_orbits_of_composite_size_compose_their_walk(monkeypatch):
