@@ -39,9 +39,6 @@ class PairColoring(NamedTuple):
             return 0
         return 1 + max(max(row) for row in self.matrix)
 
-    def color(self, i: int, j: int) -> int:
-        return self.matrix[i][j]
-
     def render(self) -> str:
         """One line per row, space-separated color ids."""
         return "\n".join(" ".join(map(str, row)) for row in self.matrix)
@@ -66,7 +63,6 @@ def orb2(group: PermGroup) -> PairColoring:
     cycles, movers, orbits, _ = _cycle_orbits(group)
     moving = [[]] * n  # the generators moving the orbit of x, one list per orbit; the fixed points share []
     for ids in orbits:
-        ids = [ids] if type(ids) is int else ids
         spread = [group.generators[h].images for h in dict.fromkeys(map(movers.__getitem__, ids))]
         any(map(moving.__setitem__, chain(*map(cycles.__getitem__, ids)), repeat(spread)))
     matrix = [[-1] * n for _ in range(n)]

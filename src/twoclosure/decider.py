@@ -45,10 +45,10 @@ ascending (generator, shift) pairs, equal rows sharing one tuple; and
 apart, as fixed, the fixed points in ascending order, which have no
 coordinate, so that a Sylow part costs no Python work per point it
 fixes beyond the step removing it.  They are read off perm._cycle_orbits,
-in O(n) in C plus O(sum of |supp g|) in Python.  The witness scan (the
-chain's and zel()'s) and the closure read one index from keys to the
-orbits holding them (_holders): one _keys per distinct (size, row), then
-O(log |D|) steps per orbit.
+each orbit as its cycles' ids, in O(n) in C plus O(sum of |supp g|) in
+Python.  The witness scan (the chain's and zel()'s) and the closure read
+one index from keys to the orbits holding them (_holders): one _keys per
+distinct (size, row), then O(log |D|) steps per orbit.
 """
 
 from __future__ import annotations
@@ -152,10 +152,9 @@ def _coordinates(group: PermGroup) -> _Coordinates:
     cycles, movers, orbits, fixed = _cycle_orbits(group)
     walks, rows, seen = [], [], {}
     for ids in orbits:
-        if type(ids) is int and len(_prime_parts(len(cycles[ids]))) == 1:  # a lone cycle of prime-power size is c
-            walk, row = cycles[ids], ((movers[ids], 1),)
+        if len(ids) == 1 and len(_prime_parts(len(cycles[ids[0]]))) == 1:  # a lone cycle of prime-power size is c
+            walk, row = cycles[ids[0]], ((movers[ids[0]], 1),)
         else:
-            ids = [ids] if type(ids) is int else ids
             points = {*chain.from_iterable(map(cycles.__getitem__, ids))}
             q, base, shifts = len(points), min(points), dict.fromkeys(map(movers.__getitem__, ids))
             if len(_prime_parts(q)) > 1:  # each mover's cycles on the orbit, by mover

@@ -1,17 +1,17 @@
 """Permutations and finitely generated permutation groups.
 
-Orbits are read off the generators' cycles (_cycle_orbits, shared with the
-decider and the pair coloring).  The other group-level queries (order,
-stabilizers, subgroup tests, constituent checks) enumerate the elements,
-filtering them instead of using stabilizer chains, for the brute-force
-oracle and the tests' references; the decider calls none of them.  The
-element cap (DEFAULT_CAP) keeps runaway inputs from eating the machine.
+Orbits are read off the generators' cycles (_cycle_orbits, each orbit as its
+cycles' ids, for the decider and the pair coloring).  The other group-level
+queries (order, stabilizers, subgroup tests, constituent checks) enumerate
+the elements, filtering them instead of using stabilizer chains, for the
+brute-force oracle and the tests' references; the decider calls none of them.
+The element cap (DEFAULT_CAP) keeps runaway inputs from eating the machine.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain, compress, filterfalse, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import ne
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -207,18 +207,18 @@ class OrbitPartition(_PartitionFields):
         return tuple(len(c) for c in self.classes)
 
 
-def _cycle_orbits(group: PermGroup) -> tuple[list[tuple[int, ...]], list[int], list, list[int]]:
+def _cycle_orbits(group: PermGroup) -> tuple[list[tuple[int, ...]], list[int], Iterable[Sequence[int]], list[int]]:
     """The generators' cycles and the orbits they join into: each generator's
     cycles are walked once, from their minimal points, over the points it
     moves, and a union-find joins the cycles that share a point, in O(n) in
     C plus O(sum of |supp g|) in Python.  Returns the cycles, the generator
-    of each, the orbits of size > 1 by minimal point, each the id of its
-    cycle if it is one (so a lone cycle costs no list) or its cycles' ids
-    ascending, and the fixed points."""
+    of each, the orbits of size > 1 by minimal point, each the ids of its
+    cycles ascending (an iterable to read once: one generator's 1-tuples
+    are made as they are read), and the fixed points."""
     n, gens = group.degree, [g.images for g in group.generators]
-    # owner[x]: the last cycle walked through x, or -1; parent leads a joined
-    # cycle to the newest cycle of its orbit (a union-find, path halving)
-    owner, cycles, movers, parent, joined = [-1] * n, [], [], [], set()
+    # owner[x]: the last cycle walked through x, or -1; parent leads each
+    # cycle towards the root of its orbit (a union-find, path halving)
+    owner, cycles, movers, parent = [-1] * n, [], [], []
     for h, images in enumerate(gens):
         first = len(cycles)
         for i in compress(range(n), map(ne, images, range(n))):
@@ -229,7 +229,6 @@ def _cycle_orbits(group: PermGroup) -> tuple[list[tuple[int, ...]], list[int], l
                     j = images[j]
                 parent.append(c)
                 for t in {*map(owner.__getitem__, walk)} - {-1} if first else ():
-                    joined.update((t, c))
                     while parent[t] != t:
                         parent[t] = t = parent[parent[t]]
                     parent[t] = c
@@ -237,18 +236,16 @@ def _cycle_orbits(group: PermGroup) -> tuple[list[tuple[int, ...]], list[int], l
                     owner[j] = c
                 cycles.append(tuple(walk))
         movers.extend(repeat(h, len(cycles) - first))
-    orbits = range(len(cycles))  # one generator's cycles come by minimal point and join none
+    orbits = zip(range(len(cycles)))  # one generator's cycles come by minimal point and join none
     if len(gens) > 1:
-        roots = {}  # root -> the joined cycles of its orbit, descending
-        for c in sorted(joined, reverse=True):  # a parent is newer, so its parent is a root
-            parent[c] = parent[parent[c]]
-            roots.setdefault(parent[c], []).append(c)
-        heads = {}  # a joined orbit's cycles, ascending, by its head, its cycle through its minimal point
-        for ids in roots.values():
-            heads[min(ids, key=cycles.__getitem__)] = ids[::-1]
-        orbits = sorted([*filterfalse(joined.__contains__, orbits), *heads], key=cycles.__getitem__)
-        orbits = map(heads.get, orbits, orbits) if heads else orbits
-    return cycles, movers, [*orbits], [*compress(range(n), map((-1).__eq__, owner))]
+        roots = {}  # root -> the ids of its orbit's cycles, ascending
+        for c in range(len(cycles)):
+            t = c
+            while parent[t] != t:
+                parent[t] = t = parent[parent[t]]
+            roots.setdefault(t, []).append(c)
+        orbits = sorted(roots.values(), key=lambda ids: min(map(cycles.__getitem__, ids)))
+    return cycles, movers, orbits, [*compress(range(n), map((-1).__eq__, owner))]
 
 
 class PermGroup:
@@ -278,10 +275,6 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(dict.fromkeys(gens))
         self._elements: Optional[frozenset[Permutation]] = None
-
-    @staticmethod
-    def trivial(degree: int) -> PermGroup:
-        return PermGroup(degree, ())
 
     @staticmethod
     def from_elements(degree: int, elements: Iterable[Permutation]) -> PermGroup:
@@ -354,16 +347,13 @@ class PermGroup:
         """The orbit partition of the point set, classes ordered by minimal point:
         _cycle_orbits' orbits and fixed points, two ascending runs one sort merges."""
         cycles, _, orbits, fixed = _cycle_orbits(self)
-        classes = sorted([*(tuple(sorted(cycles[ids] if type(ids) is int else {*chain(*map(cycles.__getitem__, ids))}))
+        classes = sorted([*(tuple(sorted(cycles[ids[0]] if len(ids) == 1 else {*chain(*map(cycles.__getitem__, ids))}))
                             for ids in orbits), *zip(fixed)])
         point_to_class = [0] * self.degree
         for d, cls in enumerate(classes):
             for x in cls:
                 point_to_class[x] = d
         return OrbitPartition(tuple(classes), tuple(point_to_class))
-
-    def is_transitive(self) -> bool:
-        return len(self.orbits()) == 1
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> PermGroup:
         """Subgroup fixing every listed point, with its full element set as generators."""

@@ -588,12 +588,12 @@ def reference_decide(group):
     order = group.order()
     steps = [Step(VALIDATE, group.degree, order)]
     parts = (group,)
-    if not group.is_transitive() and len(prime_factors(order)) != 1:
+    if len(group.orbits()) != 1 and len(prime_factors(order)) != 1:
         decomposition = sylow_decomposition(group)
         steps.append(Step(SYLOW_SPLIT, group.degree, order, tuple(p for p, _ in decomposition)))
         parts = tuple(part for _, part in decomposition)
     for g in parts:
-        while not g.is_transitive():
+        while len(g.orbits()) != 1:
             order = g.order()
             z = reference_zel(g)
             if z.is_trivial():

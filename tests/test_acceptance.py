@@ -137,7 +137,7 @@ def _law_pool():
         fixture_example1(2),
         fixture_example1(3),
         fixture_example2(2),
-        PermGroup.trivial(4),
+        PermGroup(4),
     ]
     pool.extend(sweep_instances())
     return pool

@@ -1,7 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 import time
 from functools import partial
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -194,7 +198,7 @@ def test_zel_order_line_is_the_order_of_zel(tmp_path, capsys):
     groups += [random_abelian_cyclic(seed, 30) for seed in range(300)]
     checked = 0
     for g in groups:
-        if g.is_transitive():
+        if len(g.orbits()) == 1:
             continue
         path = write_group(tmp_path, "g.grp", serialize_group(g))
         code, out, _ = run(capsys, "zel", path)
@@ -260,9 +264,9 @@ def test_orb2_degree_bound_is_checked_before_the_matrix(monkeypatch, tmp_path, c
     assert err.startswith("error: ") and "exceeds the pair coloring bound" in err
     # the bound itself is colored
     monkeypatch.setattr(coloring, "MAX_COLORING_DEGREE", 4)
-    assert orb2(PermGroup.trivial(4)).num_colors == 16
+    assert orb2(PermGroup(4)).num_colors == 16
     with pytest.raises(coloring.ColoringTooLarge):
-        orb2(PermGroup.trivial(5))
+        orb2(PermGroup(5))
 
 
 def test_example_subcommands_emit_parseable_fixtures(capsys):
@@ -273,6 +277,18 @@ def test_example_subcommands_emit_parseable_fixtures(capsys):
     code, out, _ = run(capsys, "example2", "3")
     assert code == 0
     assert parse_group(out).degree == 18
+
+
+def test_module_runs_as_a_script():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "twoclosure.cli", "example1", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert parse_group(result.stdout) == fixture_example1(2)
 
 
 def test_example_subcommand_rejects_non_prime(capsys):
@@ -318,7 +334,7 @@ def test_random_with_a_negative_max_degree_exits_two(capsys, flags):
 def test_random_regular_flag(capsys):
     code, out, _ = run(capsys, "random", "--seed", "1", "--max-degree", "8", "--regular")
     assert code == 0
-    assert parse_group(out).is_transitive()
+    assert len(parse_group(out).orbits()) == 1
 
 
 def test_stdin_input(monkeypatch, capsys):

@@ -22,9 +22,13 @@ def cyc(degree, *cycles):
 
 
 def test_trivial_group_gets_discrete_coloring():
-    c = orb2(PermGroup.trivial(2))
+    c = orb2(PermGroup(2))
     assert c.num_colors == 4
     assert c.matrix == ((0, 1), (2, 3))
+
+
+def test_degree_zero_group_has_no_colors():
+    assert orb2(PermGroup(0)).num_colors == 0
 
 
 def test_swap_on_two_points():
@@ -47,9 +51,9 @@ def test_regular_c4_colors_by_difference():
 def test_diagonal_is_union_of_color_classes():
     g = fixture_example1(2)
     c = orb2(g)
-    diagonal_colors = {c.color(i, i) for i in range(c.degree)}
+    diagonal_colors = {c.matrix[i][i] for i in range(c.degree)}
     off = {
-        c.color(i, j)
+        c.matrix[i][j]
         for i in range(c.degree)
         for j in range(c.degree)
         if i != j
@@ -79,7 +83,7 @@ def test_extra_zel_generator_preserves_example1_coloring():
 
 def test_preserves_degree_mismatch():
     with pytest.raises(ValueError):
-        preserves(orb2(PermGroup.trivial(2)), Permutation.identity(3))
+        preserves(orb2(PermGroup(2)), Permutation.identity(3))
 
 
 def test_same_coloring_under_closure():
@@ -88,19 +92,19 @@ def test_same_coloring_under_closure():
 
 
 def test_same_coloring_distinguishes_partitions():
-    a = orb2(PermGroup.trivial(3))
+    a = orb2(PermGroup(3))
     b = orb2(PermGroup(3, [cyc(3, (0, 1, 2))]))
     assert a.num_colors == 9
     assert b.num_colors == 3
     assert a != b
-    assert a == orb2(PermGroup.trivial(3))
+    assert a == orb2(PermGroup(3))
 
 
 def test_render_and_parse_round_trip():
     c = orb2(fixture_example1(2))
     rows = tuple(tuple(map(int, line.split())) for line in c.render().splitlines())
     assert rows == c.matrix
-    assert orb2(PermGroup.trivial(2)).render() == "0 1\n2 3"
+    assert orb2(PermGroup(2)).render() == "0 1\n2 3"
 
 
 def _pair_orbit_count(group):
@@ -135,10 +139,10 @@ def test_transpose_of_color_class_is_color_class(g):
     c = orb2(g)
     for color in range(c.num_colors):
         transposed = {
-            c.color(j, i)
+            c.matrix[j][i]
             for i in range(c.degree)
             for j in range(c.degree)
-            if c.color(i, j) == color
+            if c.matrix[i][j] == color
         }
         assert len(transposed) == 1
 

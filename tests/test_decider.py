@@ -107,7 +107,7 @@ def test_example2_removes_an_orbit_then_fails():
 
 
 def test_trivial_group_on_several_points_is_closed():
-    ok, trace = decide_2_closed(PermGroup.trivial(3))
+    ok, trace = decide_2_closed(PermGroup(3))
     assert ok
     assert kinds(trace) == (VALIDATE, SYLOW_SPLIT)
     assert trace.steps[1].detail == ()

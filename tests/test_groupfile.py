@@ -122,7 +122,7 @@ def test_serialize_example1():
 
 
 def test_serialize_trivial_group():
-    assert serialize_group(PermGroup.trivial(3)) == "degree 3\n"
+    assert serialize_group(PermGroup(3)) == "degree 3\n"
 
 
 def test_round_trip_fixtures():
@@ -130,7 +130,7 @@ def test_round_trip_fixtures():
         fixture_example1(2),
         fixture_example1(5),
         fixture_example2(3),
-        PermGroup.trivial(4),
+        PermGroup(4),
         PermGroup(0),
     ):
         assert parse_group(serialize_group(g)) == g

@@ -34,7 +34,7 @@ def cyc(degree, *cycles):
 
 def test_closure_of_trivial_group_is_trivial():
     # the discrete pair partition pins every point
-    cl = two_closure(PermGroup.trivial(4))
+    cl = two_closure(PermGroup(4))
     assert cl.order() == 1
 
 
@@ -59,7 +59,7 @@ def test_example2_is_not_closed():
 
 def test_degree_bound_raises():
     with pytest.raises(BudgetExceeded):
-        two_closure(PermGroup.trivial(15))
+        two_closure(PermGroup(15))
 
 
 def test_degree_bound_is_checked_before_the_pair_coloring(monkeypatch, tmp_path, capsys):
@@ -69,7 +69,7 @@ def test_degree_bound_is_checked_before_the_pair_coloring(monkeypatch, tmp_path,
 
     monkeypatch.setattr(oracle, "orb2", no_coloring)
     with pytest.raises(BudgetExceeded):
-        two_closure(PermGroup.trivial(15))
+        two_closure(PermGroup(15))
     path = tmp_path / "wide.grp"
     path.write_text("degree 3000\ngen (0 1)\n")
     for argv in (["closure", str(path)], ["decide", str(path), "--oracle-check"]):
@@ -84,7 +84,7 @@ def search(g, limits=SearchLimits()):
 
 def test_node_budget_raises():
     with pytest.raises(BudgetExceeded):
-        search(PermGroup.trivial(8), SearchLimits(max_nodes=5))
+        search(PermGroup(8), SearchLimits(max_nodes=5))
 
 
 def test_color_automorphisms_of_two_color_square():

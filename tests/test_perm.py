@@ -23,6 +23,7 @@ from twoclosure.perm import (
     NotInvariant,
     PermGroup,
     Permutation,
+    _cycle_orbits,
     prime_factors,
 )
 
@@ -109,7 +110,7 @@ def test_cycle_queries_match_the_full_walk(p, k):
 
 
 def test_enumerate_trivial_and_cyclic():
-    assert PermGroup.trivial(5).elements() == {Permutation.identity(5)}
+    assert PermGroup(5).elements() == {Permutation.identity(5)}
     assert PermGroup(4, [cyc(4, (0, 1, 2, 3))]).order() == 4
 
 
@@ -144,18 +145,79 @@ def test_generator_normalization():
     assert PermGroup(3).is_trivial()
 
 
+def test_group_construction_checks_its_input():
+    with pytest.raises(ValueError, match="nonnegative"):
+        PermGroup(-1)
+    assert PermGroup(3, [[1, 2, 0]]).generators == (cyc(3, (0, 1, 2)),)  # plain images
+    with pytest.raises(ValueError, match="does not match"):
+        PermGroup(3, [cyc(4, (0, 1))])
+
+
+def test_groups_compare_hash_and_print_by_degree_and_generators():
+    g = PermGroup(3, [cyc(3, (0, 1))])
+    assert g == PermGroup(3, [(1, 0, 2)]) and hash(g) == hash(PermGroup(3, [(1, 0, 2)]))
+    assert g != PermGroup(4, [cyc(4, (0, 1))])
+    assert g.__eq__(3) is NotImplemented and g != 3
+    assert repr(g) == "PermGroup(degree=3, gens=[(0 1)])"
+
+
+def test_cap_below_the_generators_alone_raises(monkeypatch):
+    monkeypatch.setattr(perm, "DEFAULT_CAP", 2)
+    with pytest.raises(CapExceeded) as info:
+        PermGroup(3, [cyc(3, (0, 1)), cyc(3, (1, 2))]).elements()
+    assert info.value.partial == 3  # the identity and the two generators
+
+
 def test_degree_zero_group_is_legal():
     g = PermGroup(0)
     assert g.order() == 1
     assert len(g.orbits()) == 0
-    assert not g.is_transitive()
 
 
 def test_orbits_examples():
-    assert PermGroup.trivial(3).orbits().classes == ((0,), (1,), (2,))
+    assert PermGroup(3).orbits().classes == ((0,), (1,), (2,))
     g = PermGroup(6, [cyc(6, (0, 1, 2), (3, 4, 5))])
     assert g.orbits().classes == ((0, 1, 2), (3, 4, 5))
     assert fixture_example1(2).orbits().sizes() == (2, 2, 2)
+
+
+def test_cycle_orbits_order_orbits_by_minimal_point():
+    # the orbit {0, 3, 4} joins (3 4), cycle 1, and (0 3), cycle 2: its
+    # least point lies on the second generator's cycle, so it comes before
+    # the orbit {1, 2} of cycle 0
+    g = PermGroup(5, [cyc(5, (1, 2), (3, 4)), cyc(5, (0, 3))])
+    cycles, movers, orbits, fixed = _cycle_orbits(g)
+    assert cycles == [(1, 2), (3, 4), (0, 3)]
+    assert movers == [0, 0, 1]
+    assert [[*ids] for ids in orbits] == [[1, 2], [0]]
+    assert fixed == []
+    cycles, movers, orbits, fixed = _cycle_orbits(PermGroup(5, [cyc(5, (3, 4)), cyc(5, (0, 3))]))
+    assert cycles == [(3, 4), (0, 3)] and [[*ids] for ids in orbits] == [[0, 1]] and fixed == [1, 2]
+
+
+def test_cycle_orbits_of_one_generator_are_its_cycles_as_1_tuples():
+    cycles, movers, orbits, fixed = _cycle_orbits(PermGroup(6, [cyc(6, (4, 5), (0, 2, 1))]))
+    assert cycles == [(0, 2, 1), (4, 5)]
+    assert movers == [0, 0]
+    assert [*orbits] == [(0,), (1,)]
+    assert fixed == [3]
+
+
+def test_cycle_orbits_flatten_to_the_independent_union_find():
+    for seed in range(300):
+        g = random_coupled_blocks(seed, 36)
+        cycles, movers, orbits, fixed = _cycle_orbits(g)
+        orbits, (classes, _) = [*orbits], reference_orbits(g)
+        assert [tuple(sorted({x for c in ids for x in cycles[c]})) for ids in orbits] == [
+            cls for cls in classes if len(cls) > 1
+        ], seed
+        assert fixed == [cls[0] for cls in classes if len(cls) == 1], seed
+        for ids in orbits:  # ids ascend, so movers do not decrease (_coordinates' groupby needs this)
+            assert [*ids] == sorted(ids), seed
+            assert [movers[c] for c in ids] == sorted(movers[c] for c in ids), seed
+        for c, cycle in enumerate(cycles):
+            images = g.generators[movers[c]].images
+            assert cycle[0] == min(cycle) and [*cycle[1:], cycle[0]] == [images[x] for x in cycle], seed
 
 
 def test_orbit_partition_lookup():
@@ -166,9 +228,10 @@ def test_orbit_partition_lookup():
 
 
 def test_is_transitive():
-    assert PermGroup(4, [cyc(4, (0, 1, 2, 3))]).is_transitive()
-    assert not PermGroup.trivial(2).is_transitive()
-    assert not fixture_example1(2).is_transitive()
+    # a group is transitive when it has exactly one orbit
+    assert len(PermGroup(4, [cyc(4, (0, 1, 2, 3))]).orbits()) == 1
+    assert len(PermGroup(2).orbits()) == 2
+    assert len(fixture_example1(2).orbits()) == 3
 
 
 def test_pointwise_stabilizer():
@@ -197,18 +260,20 @@ def test_restriction_rejects_non_invariant_sets():
     g = PermGroup(5, [cyc(5, (0, 1, 2), (3, 4))])
     with pytest.raises(NotInvariant):
         g.restriction([0, 1])
+    with pytest.raises(ValueError, match="out of range"):
+        g.restriction([5])
 
 
 def test_is_subgroup():
     c3 = PermGroup(3, [cyc(3, (0, 1, 2))])
-    assert PermGroup.trivial(3).is_subgroup_of(c3)
+    assert PermGroup(3).is_subgroup_of(c3)
     assert PermGroup(3, [cyc(3, (0, 2, 1))]).is_subgroup_of(c3)
     assert not PermGroup(3, [cyc(3, (0, 1))]).is_subgroup_of(c3)
     sym3 = PermGroup(3, [cyc(3, (0, 1)), cyc(3, (0, 1, 2))])
     assert not sym3.is_subgroup_of(c3)
     assert c3.is_subgroup_of(sym3)
     with pytest.raises(ValueError):
-        PermGroup.trivial(2).is_subgroup_of(c3)
+        PermGroup(2).is_subgroup_of(c3)
 
 
 def test_induced_on_orbits():
@@ -221,7 +286,7 @@ def test_induced_on_orbits():
 
 def test_induced_on_trivial_is_isomorphic_copy():
     g = fixture_example1(2)
-    induced = g.induced_on_orbits(PermGroup.trivial(6))
+    induced = g.induced_on_orbits(PermGroup(6))
     assert induced.order() == g.order()
     assert sorted(induced.orbits().sizes()) == sorted(g.orbits().sizes())
 
@@ -231,6 +296,8 @@ def test_induced_rejects_non_block_partitions():
     inner = PermGroup(4, [cyc(4, (0, 1))])
     with pytest.raises(NotBlockSystem):
         g.induced_on_orbits(inner)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        g.induced_on_orbits(PermGroup(3))
 
 
 def test_is_abelian_and_is_p_group():
@@ -240,7 +307,7 @@ def test_is_abelian_and_is_p_group():
     sym3 = PermGroup(3, [cyc(3, (0, 1)), cyc(3, (0, 1, 2))])
     assert not sym3.is_abelian()
     assert prime_factors(sym3.order()) == (2, 3)
-    assert prime_factors(PermGroup.trivial(2).order()) == ()
+    assert prime_factors(PermGroup(2).order()) == ()
 
 
 def test_cyclic_constituents():

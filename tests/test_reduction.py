@@ -49,7 +49,7 @@ def test_sylow_parts_fix_foreign_orbits_pointwise():
 
 
 def test_sylow_of_trivial_group_has_no_parts():
-    assert sylow_decomposition(PermGroup.trivial(3)) == ()
+    assert sylow_decomposition(PermGroup(3)) == ()
 
 
 def test_sylow_rejects_nonabelian_input():

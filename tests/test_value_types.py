@@ -91,6 +91,11 @@ def test_permutations_order_by_images():
     assert not (a < a or a > a)
 
 
+def test_orbit_partitions_replace_a_field():
+    part = OrbitPartition(((0, 1), (2,)), (0, 0, 1))
+    assert part._replace(point_to_class=(1, 1, 0)) == OrbitPartition(((0, 1), (2,)), (1, 1, 0))
+
+
 def test_permutations_built_through_make_or_replace_are_checked():
     with pytest.raises(ValueError, match="not a bijection"):
         Permutation((1, 0, 2))._replace(images=(0, 0, 1))
