@@ -22,7 +22,7 @@ from twoclosure.oracle import MAX_ORACLE_DEGREE, closure_order, two_closure
 def show(name, group):
     closed, trace = decide_2_closed(group)
     print(f"== {name}: degree {group.degree}, order {trace.steps[0].order}, "
-          f"orbit sizes {group.orbits().sizes()}")
+          f"orbit sizes {tuple(map(len, group.orbits()))}")
     for g in group.generators:
         print(f"   gen {g}")
     z = zel(group)

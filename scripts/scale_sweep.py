@@ -117,7 +117,7 @@ def run_one(family: str, degree: int) -> dict:
     t3 = time.perf_counter()
     closure_order(two_closure(group, SearchLimits(max_degree=group.degree)))
     t4 = time.perf_counter()
-    "\n".join(" ".join(map(str, cls)) for cls in group.orbits().classes)
+    "\n".join(" ".join(map(str, cls)) for cls in group.orbits())
     t5 = time.perf_counter()
     return {
         "degree": group.degree,

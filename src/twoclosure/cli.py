@@ -110,7 +110,7 @@ def _cmd_zel(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    for cls in _read_group(args.file).orbits().classes:
+    for cls in _read_group(args.file).orbits():
         print(" ".join(map(str, cls)))
     return 0
 

@@ -404,7 +404,7 @@ def _chain(coords: _Coordinates, order: int, steps: list[Step]) -> bool:
                 while i < top:
                     tree[i] += 1
                     i += i & -i
-            steps.append(Step(ORBIT_REMOVAL, degree, order, tuple(detail)))
+            steps.append(tuple.__new__(Step, (ORBIT_REMOVAL, degree, order, tuple(detail))))  # known kind, unchecked
             degree -= sizes[lo]
             lo += 1
         if lo == k - 1 and gone == len(fixed):

@@ -181,32 +181,6 @@ class Permutation(_PermutationFields):
         return f"Permutation({self.images!r})"
 
 
-class _PartitionFields(NamedTuple):
-    classes: tuple[tuple[int, ...], ...]
-    point_to_class: tuple[int, ...]
-
-
-class OrbitPartition(_PartitionFields):
-    """The orbits of a group as a partition of {0..n-1}.
-
-    Classes are sorted internally and listed in order of their minimal
-    point, so partitions compare and render deterministically.  ``len``
-    is the number of classes.
-    """
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-    @classmethod
-    def _make(cls, iterable):  # namedtuple's _make checks len(); _replace builds through it
-        return cls(*iterable)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
-
 def _cycle_orbits(group: PermGroup) -> tuple[list[tuple[int, ...]], list[int], Iterable[Sequence[int]], list[int]]:
     """The generators' cycles and the orbits they join into: each generator's
     cycles are walked once, from their minimal points, over the points it
@@ -343,17 +317,12 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return not self.generators
 
-    def orbits(self) -> OrbitPartition:
-        """The orbit partition of the point set, classes ordered by minimal point:
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """The orbits as tuples of their points ascending, by minimal point:
         _cycle_orbits' orbits and fixed points, two ascending runs one sort merges."""
         cycles, _, orbits, fixed = _cycle_orbits(self)
-        classes = sorted([*(tuple(sorted(cycles[ids[0]] if len(ids) == 1 else {*chain(*map(cycles.__getitem__, ids))}))
-                            for ids in orbits), *zip(fixed)])
-        point_to_class = [0] * self.degree
-        for d, cls in enumerate(classes):
-            for x in cls:
-                point_to_class[x] = d
-        return OrbitPartition(tuple(classes), tuple(point_to_class))
+        return tuple(sorted([*(tuple(sorted(cycles[ids[0]] if len(ids) == 1 else {*chain(*map(cycles.__getitem__, ids))}))
+                               for ids in orbits), *zip(fixed)]))
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> PermGroup:
         """Subgroup fixing every listed point, with its full element set as generators."""
@@ -394,19 +363,20 @@ class PermGroup:
         """
         if inner.degree != self.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {inner.degree}")
-        part = inner.orbits()
+        classes = inner.orbits()
+        block = {x: d for d, cls in enumerate(classes) for x in cls}
         gens = []
         for g in self.generators:
             images = []
-            for cls in part.classes:
-                j = part.point_to_class[g.images[cls[0]]]
-                if any(part.point_to_class[g.images[p]] != j for p in cls):
+            for cls in classes:
+                j = block[g.images[cls[0]]]
+                if any(block[g.images[p]] != j for p in cls):
                     raise NotBlockSystem(
                         f"generator {g} smears orbit {cls} over several classes"
                     )
                 images.append(j)
             gens.append(Permutation(tuple(images)))
-        return PermGroup(len(part.classes), gens)
+        return PermGroup(len(classes), gens)
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -418,7 +388,7 @@ class PermGroup:
 
     def cyclic_constituents(self) -> bool:
         """True iff the action induced on every orbit is a cyclic group."""
-        for cls in self.orbits().classes:
+        for cls in self.orbits():
             constituent = self.restriction(cls)
             target = constituent.order()
             if not any(g.order() == target for g in constituent.elements()):

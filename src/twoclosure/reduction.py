@@ -55,6 +55,6 @@ def sylow_decomposition(group: PermGroup) -> tuple[tuple[int, PermGroup], ...]:
 def remove_orbit(group: PermGroup, orbit) -> PermGroup:
     """The action on the complement of an orbit, relabeled onto 0..n-|D|-1."""
     cls = tuple(sorted(orbit))
-    if cls not in group.orbits().classes:
+    if cls not in group.orbits():
         raise NotAnOrbit(f"{cls} is not an orbit of the group")
     return group.restriction(set(range(group.degree)).difference(cls))

@@ -122,7 +122,7 @@ def reference_zel(group):
     the element sets induced on D by the pointwise stabilizers of the
     other orbits, each factor lifted back by the identity elsewhere.
     """
-    classes = group.orbits().classes
+    classes = group.orbits()
     if len(classes) < 2:
         raise ValueError("zel is not defined for transitive groups")
     gens = []
@@ -144,9 +144,10 @@ def reference_zel(group):
 
 
 def reference_orbits(group):
-    """The orbit partition, (classes, point_to_class) as PermGroup.orbits
-    gives it, from a union-find over every point's image under every
-    generator, which shares no code with the library's cycle walk."""
+    """The orbits as PermGroup.orbits gives them, with the index of each
+    point's orbit, (classes, point_to_class), from a union-find over every
+    point's image under every generator, which shares no code with the
+    library's cycle walk."""
     parent = list(range(group.degree))
 
     def find(x):
@@ -573,7 +574,7 @@ def stack_depth():
 
 def witness(group, cls):
     """The first other orbit whose pointwise stabilizer fixes cls pointwise, if any."""
-    return next((other for other in group.orbits().classes if other != cls
+    return next((other for other in group.orbits() if other != cls
                  and group.pointwise_stabilizer(other).restriction(cls).is_trivial()), None)
 
 
@@ -597,11 +598,11 @@ def reference_decide(group):
             order = g.order()
             z = reference_zel(g)
             if z.is_trivial():
-                removed = g.orbits().classes[0]
+                removed = g.orbits()[0]
                 steps.append(Step(ORBIT_REMOVAL, g.degree, order, removed))
                 g = remove_orbit(g, removed)
             elif z.is_subgroup_of(g):
-                steps.append(Step(ZEL_REDUCE, g.degree, order, z.orbits().sizes()))
+                steps.append(Step(ZEL_REDUCE, g.degree, order, tuple(map(len, z.orbits()))))
                 g = g.induced_on_orbits(z)
             else:
                 steps.append(Step(ZEL_NOT_INSIDE, g.degree, order))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_coupled_blocks
 from twoclosure import coloring, decider, oracle
 from twoclosure.cli import main
 from twoclosure.coloring import orb2
 from twoclosure.decider import zel
-from twoclosure.fixtures import fixture_example1, fixture_example2, random_abelian_cyclic
+from twoclosure.fixtures import fixture_example1, fixture_example2, random_abelian_cyclic, random_regular_abelian
 from twoclosure.groupfile import parse_group, serialize_group
 from twoclosure.oracle import SearchLimits, closure_order, color_automorphisms, two_closure
 from twoclosure.perm import PermGroup, Permutation
@@ -229,6 +231,37 @@ def test_orbits_output(tmp_path, capsys):
     code, out, _ = run(capsys, "orbits", path)
     assert code == 0
     assert out == "0 1\n2 3\n4 5\n"
+
+
+# sha256 over the `orbits` stdout of each family, one run per group in turn
+ORBITS_DIGESTS = [
+    pytest.param(lambda: (random_abelian_cyclic(s, 24) for s in range(50)),
+                 "d6f25b3c67e745b8fe3c032b651cf7c9d2553107595456b00f3d378ea3c30a67",
+                 id="random_abelian_cyclic(s, 24)"),
+    pytest.param(lambda: (random_regular_abelian(s, 60) for s in range(50)),
+                 "bc72968ceaff19e48b128c177bc99930c4b05761530bfab6f7fb392798fda0bc",
+                 id="random_regular_abelian(s, 60)"),
+    pytest.param(lambda: (random_coupled_blocks(s, 36) for s in range(50)),
+                 "49dfd7a2a6e54ad62d5b3cb07cb72feb7451a2218a1a22807ae680e6d4fdb6f7",
+                 id="random_coupled_blocks(s, 36)"),
+    pytest.param(lambda: (f(p) for f in (fixture_example1, fixture_example2) for p in (2, 3, 5, 7)),
+                 "544aa3ec0a9ee26819aa3277709c1ca043a33e4d2e575cc4f50ab26b0f5cbc14",
+                 id="example1, example2"),
+    pytest.param(lambda: (PermGroup(0), PermGroup(9)),
+                 "11104d1c67093f2d6d6f7354056aa9e8335bc9a82e877b6c389d7686bf274853",
+                 id="trivial"),
+]
+
+
+@pytest.mark.parametrize("groups, expected", ORBITS_DIGESTS)
+def test_orbits_output_is_unchanged(tmp_path, capsys, groups, expected):
+    digest = hashlib.sha256()
+    for g in groups():
+        code, out, err = run(capsys, "orbits", write_group(tmp_path, "g.grp", serialize_group(g)))
+        assert (code, err) == (0, ""), serialize_group(g)
+        digest.update(out.encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == expected
 
 
 def test_orb2_output(tmp_path, capsys):

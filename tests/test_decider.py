@@ -474,7 +474,7 @@ def test_zel_generators_are_powers_of_the_constituent_generator():
     pool += [random_coupled_blocks(seed, 36) for seed in range(300)]
     checked = 0
     for g in pool:
-        orbits = g.orbits().classes
+        orbits = g.orbits()
         for gen in zel(g).generators:
             orbit = next(o for o in orbits if gen.images[o[0]] != o[0])
             assert gen == constituent_generator(g, orbit) ** (len(orbit) // gen.order()), (g, orbit)

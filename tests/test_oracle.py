@@ -293,7 +293,7 @@ def test_closure_laws_on_small_groups(g):
 @given(abelian_instances(max_degree=8))
 def test_closure_of_abelian_group_is_quasiregular(g):
     cl = two_closure(g)
-    for cls in cl.orbits().classes:
+    for cls in cl.orbits():
         assert cl.restriction(cls).order() == len(cls)
 
 

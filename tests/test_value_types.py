@@ -13,7 +13,7 @@ import pytest
 from twoclosure.coloring import PairColoring
 from twoclosure.decider import ReductionTrace, Step
 from twoclosure.oracle import MAX_ORACLE_DEGREE, MAX_ORACLE_NODES, SearchLimits
-from twoclosure.perm import OrbitPartition, Permutation
+from twoclosure.perm import Permutation
 
 STEP = Step("ZelReduce", 6, 9, (3, 3))
 
@@ -21,10 +21,6 @@ STEP = Step("ZelReduce", 6, 9, (3, 3))
 CASES = [
     (Permutation((1, 0, 2)), Permutation(images=(1, 0, 2)), Permutation((0, 2, 1)),
      "Permutation((1, 0, 2))"),
-    (OrbitPartition(((0, 1), (2,)), (0, 0, 1)),
-     OrbitPartition(classes=((0, 1), (2,)), point_to_class=(0, 0, 1)),
-     OrbitPartition(((0,), (1, 2)), (0, 1, 1)),
-     "OrbitPartition(classes=((0, 1), (2,)), point_to_class=(0, 0, 1))"),
     (PairColoring(((0, 1), (1, 0))), PairColoring(matrix=((0, 1), (1, 0))),
      PairColoring(((0, 1), (2, 3))),
      "PairColoring(matrix=((0, 1), (1, 0)))"),
@@ -69,7 +65,6 @@ def test_values_survive_pickling(value, same, other, text):
 def _fields(value):
     return {
         Permutation: ("images",),
-        OrbitPartition: ("classes", "point_to_class"),
         PairColoring: ("matrix",),
         Step: ("kind", "degree", "order", "detail"),
         ReductionTrace: ("steps", "verdict"),
@@ -89,11 +84,6 @@ def test_permutations_order_by_images():
     a, b = Permutation((0, 2, 1)), Permutation((1, 0, 2))
     assert a < b and a <= b and b > a and b >= a and a <= a and a >= a
     assert not (a < a or a > a)
-
-
-def test_orbit_partitions_replace_a_field():
-    part = OrbitPartition(((0, 1), (2,)), (0, 0, 1))
-    assert part._replace(point_to_class=(1, 1, 0)) == OrbitPartition(((0, 1), (2,)), (1, 1, 0))
 
 
 def test_permutations_built_through_make_or_replace_are_checked():
