@@ -68,7 +68,7 @@ def _verdict_word(closed: bool) -> str:
 def _read_group(path: str) -> PermGroup:
     if path == "-":
         return parse_group(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # past a byte-order mark
         return parse_group(fh.read())
 
 

@@ -470,11 +470,8 @@ def zel(group: PermGroup) -> PermGroup:
     if (orbits := len(coords.sizes) + len(coords.fixed)) < 2:
         raise ValueError(f"zel needs at least two orbits, got {orbits}; "
                          "not defined for transitive groups")
-    # the residue classes of an orbit's coordinates mod f_D are the cycles of c^f_D
-    gens = [Permutation._unchecked_cycles(group.degree, [*chain.from_iterable(pts[b::f] for b in range(f))],
-                                          repeat(q // f, f))
-            for q, pts, f in zip(coords.sizes, coords.points, _zel_factors(coords, *_witness_scan(coords), 0))
-            if f < q]
+    gens = [Permutation._shifting(group.degree, [(pts, f)])  # c^f_D shifts D's walk by f_D
+            for q, pts, f in zip(coords.sizes, coords.points, _zel_factors(coords, *_witness_scan(coords), 0)) if f < q]
     return PermGroup(group.degree, gens)
 
 
@@ -509,13 +506,10 @@ def _pairwise_closure(group: PermGroup) -> PermGroup:
                 tops.setdefault(d, []).append((p, pt * idempotent))
     gens = []
     for d, top in tops.items():
-        images, x, stack = list(range(group.degree)), {}, [(d, p, v) for p, v in top]
+        x, stack = {}, [(d, p, v) for p, v in top]
         while stack:
             e, p, v = stack.pop()
             x[e] = (x.get(e, 0) + v) % sizes[e]
             stack += ((f, p, u * v % sizes[f]) for f, u in links.get((p, e), ()))
-        for e, v in x.items():  # coordinate i goes to i + v
-            pts = points[e]
-            any(map(images.__setitem__, pts, pts[v:] + pts[:v]))
-        gens.append(Permutation._unchecked(tuple(images)))
+        gens.append(Permutation._shifting(group.degree, zip(map(points.__getitem__, x), x.values())))
     return PermGroup(group.degree, gens)

@@ -39,11 +39,8 @@ def _check_prime(p: int) -> None:
 def _block_shift(degree: int, shifts: list[tuple[int, int, int]]) -> Permutation:
     """Shift each block of ``size`` consecutive points from ``start`` by
     ``amount``, for every (start, size, amount) in ``shifts``."""
-    images = list(range(degree))
-    for start, size, amount in shifts:
-        for i in range(size):
-            images[start + i] = start + (i + amount) % size
-    return Permutation(tuple(images))
+    return Permutation._shifting(degree, [(tuple(range(start, start + size)), amount % size)
+                                          for start, size, amount in shifts])
 
 
 def _glued_examples(p: int, copies: int) -> PermGroup:

@@ -93,15 +93,24 @@ class Permutation(_PermutationFields):
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> Permutation:
         """A permutation of images its caller has already checked or built to
-        be a bijection of 0..n-1, as the group-file parser and ``**`` do."""
+        be a bijection of 0..n-1, as the builders below and ``*`` do."""
         return tuple.__new__(cls, (images,))
 
     @classmethod
+    def _shifting(cls, degree: int, walks: Iterable[tuple[Sequence[int], int]]) -> Permutation:
+        """walk[i] goes to walk[(i + s) % len(walk)] for each (walk, s), 0 <= s <= len(walk),
+        over disjoint walks in 0..degree-1; every other point is fixed."""
+        images = list(range(degree))
+        for walk, s in walks:
+            any(map(images.__setitem__, walk, walk[s:] + walk[:s]))
+        return cls._unchecked(tuple(images))
+
+    @classmethod
     def _unchecked_cycles(cls, degree: int, points: Sequence[int], lengths: Iterable[int]) -> Permutation:
-        """The disjoint cycles, their points one cycle after another, that
-        the caller has checked (the parser) or built (zel) to lie in
-        0..degree-1 without a repeated point: one pass in C sends each point
-        to the next, then one step per cycle its last point to its first."""
+        """The disjoint cycles, their points one cycle after another, that the
+        parser has checked to lie in 0..degree-1 without a repeated point, in
+        one pass in C and one step per cycle: _shifting would cost Python work
+        per cycle, and one line of a group file can hold thousands of cycles."""
         images, start = list(range(degree)), 0
         any(map(images.__setitem__, points, points[1:]))
         for end in accumulate(filter(None, lengths)):
@@ -111,12 +120,12 @@ class Permutation(_PermutationFields):
 
     @staticmethod
     def identity(degree: int) -> Permutation:
-        return Permutation(tuple(range(degree)))
+        return Permutation._unchecked(tuple(range(degree)))
 
     @staticmethod
     def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> Permutation:
         """Build a permutation from disjoint cycles; unmentioned points are fixed."""
-        cycles = [list(cycle) for cycle in cycles]
+        cycles = [tuple(cycle) for cycle in cycles]
         touched = set()
         for pt in (pt for cycle in cycles for pt in cycle):
             if not 0 <= pt < degree:
@@ -124,7 +133,7 @@ class Permutation(_PermutationFields):
             if pt in touched:
                 raise ValueError(f"point {pt} repeated across cycles")
             touched.add(pt)
-        return Permutation._unchecked_cycles(degree, [*chain.from_iterable(cycles)], map(len, cycles))
+        return Permutation._shifting(degree, zip(cycles, repeat(1)))
 
     @property
     def degree(self) -> int:
@@ -140,12 +149,7 @@ class Permutation(_PermutationFields):
         return Permutation._unchecked(tuple(map(other.images.__getitem__, self.images)))
 
     def __pow__(self, k: int) -> Permutation:
-        images = list(range(self.degree))
-        for cycle in self.cycles():
-            s = k % len(cycle)
-            for x, y in zip(cycle, cycle[s:] + cycle[:s]):
-                images[x] = y
-        return Permutation._unchecked(tuple(images))
+        return Permutation._shifting(self.degree, ((c, k % len(c)) for c in self.cycles()))
 
     def inverse(self) -> Permutation:
         return self ** -1
@@ -263,9 +267,6 @@ class PermGroup:
         group._elements = els | {Permutation.identity(degree)}
         return group
 
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PermGroup):
             return NotImplemented
@@ -293,8 +294,7 @@ class PermGroup:
         return self._elements
 
     def _close(self, cap: int) -> frozenset[Permutation]:
-        els = {self.identity()}
-        els.update(self.generators)
+        els = {Permutation.identity(self.degree), *self.generators}
         if len(els) > cap:
             raise CapExceeded(cap, len(els))
         frontier = list(self.generators)

@@ -58,6 +58,16 @@ def test_decide_example1_exits_one(tmp_path, capsys):
     ]
 
 
+def test_a_byte_order_mark_is_read_past(tmp_path, capsys):
+    # some editors start a UTF-8 file with one
+    text = serialize_group(fixture_example1(3))
+    plain = write_group(tmp_path, "ex1.grp", text)
+    marked = tmp_path / "ex1-bom.grp"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert run(capsys, "decide", str(marked)) == run(capsys, "decide", plain)
+    assert run(capsys, "decide", plain)[0] == 1
+
+
 def test_decide_with_oracle_check(tmp_path, capsys):
     path = write_group(tmp_path, "ex1.grp", serialize_group(fixture_example1(2)))
     code, out, _ = run(capsys, "decide", path, "--oracle-check")

@@ -162,8 +162,8 @@ def test_canonical_ids_first_appear_in_order(g):
 def test_preserves_agrees_with_cell_by_cell_definition(g, data):
     c = orb2(g)
     # a word in the closure's generators preserves the coloring
-    word = data.draw(st.lists(st.sampled_from((g.identity(), *two_closure(g).generators)), max_size=4))
-    preserving = g.identity()
+    word = data.draw(st.lists(st.sampled_from((Permutation.identity(g.degree), *two_closure(g).generators)), max_size=4))
+    preserving = Permutation.identity(g.degree)
     for x in word:
         preserving = preserving * x
     arbitrary = data.draw(permutations(g.degree))

@@ -11,6 +11,10 @@ A second digest pins what the decider answers on them: the rendered
 generators of every instance with more than one orbit, over the random
 families, the coupled-block instances, both fixture families and three
 rounds of each decide workload, up to the benchmark's 160 blocks.
+
+A third digest pins the generators ``two_closure`` gives, as
+``twoclosure closure`` prints them, over in-class groups (pairwise path)
+and the non-cyclic regular groups of random_regular_abelian (search path).
 """
 
 import hashlib
@@ -18,7 +22,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from conftest import random_coupled_blocks
+from conftest import blocks_of_six, random_coupled_blocks
 from twoclosure.cli import render_step
 from twoclosure.decider import PreconditionFailed, decide_2_closed, zel
 from twoclosure.fixtures import (
@@ -28,6 +32,7 @@ from twoclosure.fixtures import (
     random_regular_abelian,
 )
 from twoclosure.groupfile import parse_group, serialize_group
+from twoclosure.oracle import SearchLimits, two_closure
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -108,3 +113,28 @@ def test_decide_traces_are_unchanged():
         digest.update(text.encode())
         digest.update(b"\0")
     assert digest.hexdigest() == GOLDEN_TRACES
+
+
+GOLDEN_CLOSURES = "6fa23c40df1769c77ab864fb3448072ff31dec9b7b137ee32e43fd3dcba432f1"
+
+
+def _closure_groups():
+    for seed in range(200):
+        yield random_abelian_cyclic(seed, 48)
+    for seed in range(300):
+        yield random_coupled_blocks(seed, 36)
+    for shifts in ((1,), (1, 3), (3, 2)):
+        yield blocks_of_six(50, shifts)
+    for p in (2, 3, 5, 7, 11, 13):
+        yield fixture_example1(p)
+        yield fixture_example2(p)
+    for seed in range(100):
+        yield random_regular_abelian(seed, 12)
+
+
+def test_closure_generators_are_unchanged():
+    digest = hashlib.sha256()
+    for g in _closure_groups():
+        digest.update(serialize_group(two_closure(g, SearchLimits(max_degree=g.degree))).encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == GOLDEN_CLOSURES

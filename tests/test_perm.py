@@ -110,6 +110,20 @@ def test_cycle_queries_match_the_full_walk(p, k):
     assert p.is_identity() == all(i == v for i, v in enumerate(p.images))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_shifting_moves_each_walk_point_s_steps_on_and_fixes_the_rest(data):
+    n = data.draw(st.integers(0, 12))
+    points = data.draw(st.permutations(range(n)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))  # equal cuts give empty walks
+    walks = [tuple(points[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+    shifted = [(w, data.draw(st.integers(0, max(len(w) - 1, 0)))) for w in walks if data.draw(st.booleans())]
+    p = Permutation._shifting(n, shifted)
+    on = {w[i]: w[(i + s) % len(w)] for w, s in shifted for i in range(len(w))}
+    assert p.degree == n
+    assert [p(x) for x in range(n)] == [on.get(x, x) for x in range(n)]
+
+
 def test_enumerate_trivial_and_cyclic():
     assert PermGroup(5).elements() == {Permutation.identity(5)}
     assert PermGroup(4, [cyc(4, (0, 1, 2, 3))]).order() == 4
@@ -341,7 +355,7 @@ def test_prime_factors():
 @given(perm_groups(max_degree=5, max_gens=2))
 def test_elements_closed_under_composition_and_inverse(g):
     els = g.elements()
-    assert g.identity() in els
+    assert Permutation.identity(g.degree) in els
     assert all(x.inverse() in els for x in els)
     assert all(x * y in els for x in els for y in els)
 
